@@ -113,12 +113,14 @@ class TestStats:
         assert "special-max 3" in out
         assert "run 5..6" in out
         assert "repeated yes" in out
+        assert out == "asc 6, rlm 5, special-max 3, run 5..6, repeated yes\n"
 
     def test_zero_sequence_run_absent(self, capsys):
         _, out, _ = run(capsys, "stats", "ascent", "0 0 0")
         assert "special-max 0" in out
         assert "run -" in out
         assert "repeated no" in out
+        assert out == "asc 0, rlm 1, special-max 0, run -, repeated no\n"
 
     def test_perm_statistics(self, capsys):
         code, out, _ = run(capsys, "stats", "perm", "3 2 1")
@@ -130,10 +132,22 @@ class TestStats:
         data = json.loads(out)
         assert data == {"object": "0 1", "asc": 1, "rlm": 2, "special_max": 1,
                         "run_start": 2, "run_end": 2, "repeated": False}
+        assert out == ('{"asc":1,"object":"0 1","repeated":false,"rlm":2,'
+                       '"run_end":2,"run_start":2,"special_max":1}\n')
+        _, out, _ = run(capsys, "stats", "perm", "3 2 1", "--format", "json")
+        assert out == '{"asc":0,"object":"3 2 1","rlm":1}\n'
 
     def test_csv(self, capsys):
         _, out, _ = run(capsys, "stats", "perm", "3 2 1", "--format", "csv")
         assert out == "object,asc,rlm\n3 2 1,0,1\n"
+        # a zero sequence has no special run: both run cells are blank
+        _, out, _ = run(capsys, "stats", "ascent", "0 0 0", "--format", "csv")
+        assert out == ("object,asc,rlm,special_max,run_start,run_end,repeated\n"
+                       "0 0 0,0,1,0,,,False\n")
+        _, out, _ = run(capsys, "stats", "ascent", "0 1 0 1 3 3 1 2 4 3 4",
+                        "--format", "csv")
+        assert out == ("object,asc,rlm,special_max,run_start,run_end,repeated\n"
+                       "0 1 0 1 3 3 1 2 4 3 4,6,5,3,5,6,True\n")
 
     def test_invalid_object_exits_2(self, capsys):
         code, _, err = run(capsys, "stats", "ascent", "0 2 1")
@@ -153,6 +167,28 @@ class TestStats:
         assert len(lines) == 2
         assert lines[0].startswith("asc 1, rlm 1")
         assert lines[1].startswith("asc 0, rlm 1")
+        assert out == ("asc 1, rlm 1, special-max 1, run 2..2, repeated no\n"
+                       "asc 0, rlm 1, special-max 0, run -, repeated no\n")
+        # json batch: one compact document per input line
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 0\n"))
+        code, out, _ = run(capsys, "stats", "ascent", "--format", "json")
+        assert code == 0
+        assert out == ('{"asc":1,"object":"0 1 0","repeated":false,"rlm":1,'
+                       '"run_end":2,"run_start":2,"special_max":1}\n'
+                       '{"asc":0,"object":"0 0","repeated":false,"rlm":1,'
+                       '"run_end":null,"run_start":null,"special_max":0}\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2 1\n1 2\n"))
+        code, out, _ = run(capsys, "stats", "perm", "--format", "csv")
+        assert code == 0
+        assert out == "object,asc,rlm\n3 2 1,0,1\n1 2,1,2\n"
+
+    def test_stdin_batch_with_bad_line_prints_nothing(self, capsys, monkeypatch):
+        # every line is checked before the first row is written
+        for fmt in ("plain", "json", "csv"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 2 1\n0 0\n"))
+            code, out, err = run(capsys, "stats", "ascent", "--format", fmt)
+            assert (code, out) == (2, "")
+            assert "bound" in err
 
 
 class TestMap:
@@ -198,10 +234,29 @@ class TestMap:
         code, out, _ = run(capsys, "map", "forward")
         assert code == 0
         assert out == "2 3 1\n3 2 1\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 0 0\n"))
+        code, out, _ = run(capsys, "map", "forward", "--format", "json")
+        assert code == 0
+        assert out == "[2, 3, 1]\n[3, 2, 1]\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 0 0\n"))
+        code, out, _ = run(capsys, "map", "forward", "--format", "csv")
+        assert code == 0
+        assert out == "object\n2 3 1\n3 2 1\n"
+
+    def test_stdin_batch_with_bad_line_prints_nothing(self, capsys, monkeypatch):
+        for fmt in ("plain", "json", "csv"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 1 0 2 1\n"))
+            code, out, err = run(capsys, "map", "forward", "--format", fmt)
+            assert (code, out) == (2, "")
+            assert "contains 021" in err
 
     def test_json_single(self, capsys):
         _, out, _ = run(capsys, "map", "forward", "0 1 0", "--format", "json")
         assert out == "[2, 3, 1]\n"
+        _, out, _ = run(capsys, "map", "inverse", "2 3 1", "--format", "csv")
+        assert out == "object\n0 1 0\n"
+        _, out, _ = run(capsys, "map", "inverse", "ε", "--format", "json")
+        assert out == "[]\n"
 
 
 class TestDistribution:
@@ -212,6 +267,52 @@ class TestDistribution:
         assert "S132 total 5" in out
         assert "difference none" in out
         assert "verdict pass" in out
+        assert out == ("n 3\n"
+                       "A021 total 5\n"
+                       "  asc 0 rlm 1 count 1\n"
+                       "  asc 1 rlm 1 count 1\n"
+                       "  asc 1 rlm 2 count 2\n"
+                       "  asc 2 rlm 3 count 1\n"
+                       "S132 total 5\n"
+                       "  asc 0 rlm 1 count 1\n"
+                       "  asc 1 rlm 1 count 1\n"
+                       "  asc 1 rlm 2 count 2\n"
+                       "  asc 2 rlm 3 count 1\n"
+                       "difference none\n"
+                       "verdict pass\n")
+
+    def test_nonempty_difference_still_exits_0(self, capsys, monkeypatch):
+        # tally S_3(123) in place of S_3(132): the tables differ in two cells
+        import ascseq.cli as cli
+        original = cli.permutations_avoiding
+        monkeypatch.setattr(cli, "permutations_avoiding",
+                            lambda n, patterns, cap: original(n, [(1, 2, 3)], cap=cap))
+        code, out, _ = run(capsys, "distribution", "3")
+        assert code == 0
+        assert out == ("n 3\n"
+                       "A021 total 5\n"
+                       "  asc 0 rlm 1 count 1\n"
+                       "  asc 1 rlm 1 count 1\n"
+                       "  asc 1 rlm 2 count 2\n"
+                       "  asc 2 rlm 3 count 1\n"
+                       "S132 total 5\n"
+                       "  asc 0 rlm 1 count 1\n"
+                       "  asc 1 rlm 1 count 1\n"
+                       "  asc 1 rlm 2 count 3\n"
+                       "difference:\n"
+                       "  asc 1 rlm 2 delta -1\n"
+                       "  asc 2 rlm 3 delta 1\n"
+                       "verdict fail\n")
+        code, out, _ = run(capsys, "distribution", "3", "--format", "json")
+        assert code == 0
+        assert out == ('{"difference":[[1,2,-1],[2,3,1]],"families":{"A021":'
+                       '[[0,1,1],[1,1,1],[1,2,2],[2,3,1]],"S132":'
+                       '[[0,1,1],[1,1,1],[1,2,3]]},"n":3,"verdict":"fail"}\n')
+        code, out, _ = run(capsys, "distribution", "3", "--format", "csv")
+        assert code == 0
+        assert out == ("n,family,asc,rlm,count\n"
+                       "3,A021,0,1,1\n3,A021,1,1,1\n3,A021,1,2,2\n3,A021,2,3,1\n"
+                       "3,S132,0,1,1\n3,S132,1,1,1\n3,S132,1,2,3\n")
 
     def test_trivial_length(self, capsys):
         _, out, _ = run(capsys, "distribution", "1")
@@ -250,11 +351,15 @@ class TestVerify:
         for n in range(1, 7):
             assert f"n={n} pass" in out
         assert "verdict pass" in out
+        assert out == "".join(f"n={n} pass ({c} per family)\n"
+                              for n, c in enumerate((1, 2, 5, 14, 42, 132), start=1)
+                              ) + "verdict pass\n"
 
     def test_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "1")
         assert code == 0
         assert "n=1 pass" in out
+        assert out == "n=1 pass (1 per family)\nverdict pass\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "2", "--format", "json")
@@ -262,6 +367,14 @@ class TestVerify:
         assert data["verdict"] == "pass"
         assert [r["n"] for r in data["results"]] == [1, 2]
         assert all(r["passed"] for r in data["results"])
+        assert out == ('{"max_n":2,"results":[{"catalan":1,"failure":null,"n":1,'
+                       '"passed":true,"total":1},{"catalan":2,"failure":null,"n":2,'
+                       '"passed":true,"total":2}],"verdict":"pass"}\n')
+
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "verify", "2", "--format", "csv")
+        assert code == 0
+        assert out == "n,passed,total,catalan,failure\n1,True,1,1,\n2,True,2,2,\n"
 
     def test_broken_map_exits_1_with_counterexample(self, capsys, monkeypatch):
         import ascseq.enumeration as enumeration
@@ -274,6 +387,25 @@ class TestVerify:
         # the first counterexample is concrete: an object appears in the line
         fail_lines = [line for line in out.splitlines() if "FAIL" in line]
         assert fail_lines and any(ch.isdigit() for ch in fail_lines[0])
+
+    def test_broken_map_in_every_format(self, capsys, monkeypatch):
+        import ascseq.enumeration as enumeration
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: tuple(range(1, len(x) + 1)))
+        failure = "statistics change across the map on 0 0: (0, 1) -> (1, 2)"
+        code, out, _ = run(capsys, "verify", "4")
+        assert code == 1
+        assert out == f"n=1 pass (1 per family)\nn=2 FAIL: {failure}\nverdict fail\n"
+        code, out, _ = run(capsys, "verify", "4", "--format", "csv")
+        assert code == 1
+        assert out == ("n,passed,total,catalan,failure\n"
+                       f'1,True,1,1,\n2,False,2,2,"{failure}"\n')
+        code, out, _ = run(capsys, "verify", "4", "--format", "json")
+        assert code == 1
+        assert out == ('{"max_n":4,"results":[{"catalan":1,"failure":null,"n":1,'
+                       '"passed":true,"total":1},{"catalan":2,"failure":'
+                       f'"{failure}","n":2,"passed":false,"total":2}}],'
+                       '"verdict":"fail"}\n')
 
     def test_zero_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "0")
