@@ -6,8 +6,12 @@ recursively, and join around the new largest value.  `permutation_to_ascent`
 runs the same recursion through the inverse splits.  Both directions preserve
 the pair (asc, rlm), and they are mutually inverse.
 
-The recursion depth is bounded by the input length; the enumeration caps
-(length <= 20 by default) keep it far below the interpreter limit.
+The recursion depth can reach the input length: it does on the zero
+sequence and on 0 1 2 ... n-1.  The length caps keep it shallow inside the
+enumeration and verification harness, but these two entry points have no
+cap.  On such inputs of about 1,000 entries or more they raise
+RecursionError, and the CLI's `map` exits 2 with "internal error:
+RecursionError".
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Command line surface: enumeration, counting, statistics, the bijection,
 and the equidistribution verification harness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.  The
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error.  Each
+command returns a `Result` and `main` prints it as plain, json or csv.  The
 json and csv formats are byte-stable for fixed inputs; progress chatter (only
 under --verbose) goes to stderr so stdout stays clean.
 
@@ -15,7 +16,8 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijection import ascent_to_permutation, permutation_to_ascent
 from .core import ValidationError, format_seq, parse_seq, validate_permutation
@@ -105,20 +107,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "plain")
-    override = getattr(args, "max_n_override", False)
-    threads = getattr(args, "threads", 1)
-    verbose = getattr(args, "verbose", False)
+    # the common flags default to SUPPRESS, so they may come before or after
+    # the command; their defaults live here
+    args = build_parser().parse_args(argv, argparse.Namespace(
+        format="plain", max_n_override=False, threads=1, verbose=False))
     try:
-        if threads < 1:
-            raise ValidationError(f"--threads must be at least 1, got {threads}")
-        return args.handler(args, fmt, override, verbose)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+        result = args.handler(args)
+        if args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(result.header)
+            writer.writerows(result.rows)
+        else:
+            for line in result.plain if args.format == "plain" else result.json:
+                print(line)
+        return result.code
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -128,13 +133,42 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _stream(kind: str, n: int, avoid: list[str], override: bool) -> Iterator[tuple[int, ...]]:
-    patterns = [parse_seq(text) for text in avoid]
+class Result(NamedTuple):
+    """What a command prints, in each format, and its exit code.
+
+    The iterables are lazy: `main` consumes only the one its format selects,
+    so `enumerate` streams, and json documents are built only for json.
+    """
+
+    plain: Iterable[str]
+    json: Iterable[str]  # one serialized document per line
+    header: list[str]  # csv
+    rows: Iterable[list]  # csv
+    code: int = 0
+
+
+def _document(build: Callable[[], object]) -> Iterator[str]:
+    """The json output of a command that prints one document, built on demand."""
+    yield json.dumps(build(), **_JSON_OPTS)
+
+
+def _listing(objects: Iterable[tuple[int, ...]], json_lines: Iterable[str]) -> Result:
+    """One object per plain line, or per csv row under an `object` column."""
+    return Result(map(format_seq, objects), json_lines, ["object"],
+                  ([format_seq(obj)] for obj in objects))
+
+
+def _caps(args) -> tuple[int | None, int | None]:
+    """The (ascent, permutation) length caps; none under --max-n-override."""
+    return (None, None) if args.max_n_override else (ASCENT_CAP, PERM_CAP)
+
+
+def _stream(args, kind: str, n: int,
+            patterns: Iterable[Iterable[int]]) -> Iterator[tuple[int, ...]]:
+    ascent_cap, perm_cap = _caps(args)
     if kind == "ascent":
-        return ascent_sequences_avoiding(n, patterns,
-                                         cap=None if override else ASCENT_CAP)
-    return permutations_avoiding(n, patterns,
-                                 cap=None if override else PERM_CAP)
+        return ascent_sequences_avoiding(n, patterns, cap=ascent_cap)
+    return permutations_avoiding(n, patterns, cap=perm_cap)
 
 
 def _input_texts(args) -> Iterable[str]:
@@ -143,194 +177,118 @@ def _input_texts(args) -> Iterable[str]:
     return (line.rstrip("\n") for line in sys.stdin)
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _cmd_enumerate(args) -> Result:
+    stream = _stream(args, args.kind, args.n, [parse_seq(text) for text in args.avoid])
+    return _listing(stream, _document(lambda: [list(obj) for obj in stream]))
 
 
-def _cmd_enumerate(args, fmt, override, verbose) -> int:
-    stream = _stream(args.kind, args.n, args.avoid, override)
-    if fmt == "plain":
-        for obj in stream:
-            print(format_seq(obj))
-    elif fmt == "json":
-        print(json.dumps([list(obj) for obj in stream], **_JSON_OPTS))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["object"])
-        for obj in stream:
-            writer.writerow([format_seq(obj)])
-    return 0
+def _cmd_count(args) -> Result:
+    total = sum(1 for _ in _stream(args, args.kind, args.n,
+                                   [parse_seq(text) for text in args.avoid]))
+    return Result([str(total)], [json.dumps(total)], ["count"], [[total]])
 
 
-def _cmd_count(args, fmt, override, verbose) -> int:
-    total = sum(1 for _ in _stream(args.kind, args.n, args.avoid, override))
-    if fmt == "plain":
-        print(total)
-    elif fmt == "json":
-        print(json.dumps(total))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["count"])
-        writer.writerow([total])
-    return 0
+_STATS_COLUMNS = ["object", "asc", "rlm", "special_max", "run_start", "run_end", "repeated"]
 
 
-def _cmd_stats(args, fmt, override, verbose) -> int:
-    single = args.object is not None
+def _cmd_stats(args) -> Result:
     rows = []
     for text in _input_texts(args):
         values = parse_seq(text)
         if args.kind == "ascent":
             info = special_maximum(values)  # also validates the sequence
-            rows.append({
-                "object": format_seq(values),
-                "asc": asc(values),
-                "rlm": rlm(values),
-                "special_max": info.value,
-                "run_start": info.run_start,
-                "run_end": info.run_end,
-                "repeated": info.repeated,
-            })
+            extra = {"special_max": info.value, "run_start": info.run_start,
+                     "run_end": info.run_end, "repeated": info.repeated}
         else:
-            perm = validate_permutation(values)
-            rows.append({
-                "object": format_seq(perm),
-                "asc": asc(perm),
-                "rlm": rlm(perm),
-            })
-
-    if fmt == "plain":
-        for row in rows:
-            parts = [f"asc {row['asc']}", f"rlm {row['rlm']}"]
-            if "special_max" in row:
-                run = ("-" if row["run_start"] is None
-                       else f"{row['run_start']}..{row['run_end']}")
-                parts += [f"special-max {row['special_max']}", f"run {run}",
-                          f"repeated {'yes' if row['repeated'] else 'no'}"]
-            print(", ".join(parts))
-    elif fmt == "json":
-        if single:
-            print(json.dumps(rows[0], **_JSON_OPTS))
-        else:
-            for row in rows:
-                print(json.dumps(row, **_JSON_OPTS))
-    else:
-        writer = _csv_writer()
-        if args.kind == "ascent":
-            header = ["object", "asc", "rlm", "special_max",
-                      "run_start", "run_end", "repeated"]
-        else:
-            header = ["object", "asc", "rlm"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if row[key] is None else row[key] for key in header])
-    return 0
+            values, extra = validate_permutation(values), {}
+        rows.append({"object": format_seq(values), "asc": asc(values),
+                     "rlm": rlm(values), **extra})
+    header = _STATS_COLUMNS if args.kind == "ascent" else _STATS_COLUMNS[:3]
+    return Result((_stats_line(row) for row in rows),
+                  (json.dumps(row, **_JSON_OPTS) for row in rows),
+                  header,
+                  (["" if row[key] is None else row[key] for key in header]
+                   for row in rows))
 
 
-def _cmd_map(args, fmt, override, verbose) -> int:
+def _stats_line(row: dict) -> str:
+    parts = [f"asc {row['asc']}", f"rlm {row['rlm']}"]
+    if "special_max" in row:
+        run = ("-" if row["run_start"] is None
+               else f"{row['run_start']}..{row['run_end']}")
+        parts += [f"special-max {row['special_max']}", f"run {run}",
+                  f"repeated {'yes' if row['repeated'] else 'no'}"]
+    return ", ".join(parts)
+
+
+def _cmd_map(args) -> Result:
     apply = ascent_to_permutation if args.direction == "forward" else permutation_to_ascent
-    single = args.object is not None
     images = [apply(parse_seq(text)) for text in _input_texts(args)]
-    if fmt == "plain":
-        for image in images:
-            print(format_seq(image))
-    elif fmt == "json":
-        if single:
-            print(json.dumps(list(images[0])))
-        else:
-            for image in images:
-                print(json.dumps(list(image)))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["object"])
-        for image in images:
-            writer.writerow([format_seq(image)])
-    return 0
+    # default separators: map json is "[2, 3, 1]", unlike the other commands
+    return _listing(images, (json.dumps(list(image)) for image in images))
 
 
-def _triples(table) -> list[list[int]]:
-    return [[a, r, count] for (a, r), count in table.sorted_items()]
+def _cmd_distribution(args) -> Result:
+    tables = {"A021": joint_distribution(_stream(args, "ascent", args.n, (PATTERN_021,))),
+              "S132": joint_distribution(_stream(args, "perm", args.n, (PATTERN_132,)))}
+    diff = tables["A021"].difference(tables["S132"])
+    verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 
-
-def _cmd_distribution(args, fmt, override, verbose) -> int:
-    n = args.n
-    table_a = joint_distribution(ascent_sequences_avoiding(
-        n, (PATTERN_021,), cap=None if override else ASCENT_CAP))
-    table_p = joint_distribution(permutations_avoiding(
-        n, (PATTERN_132,), cap=None if override else PERM_CAP))
-    diff = table_a.difference(table_p)
-    verdict = "pass" if not diff else "fail"
-
-    if fmt == "plain":
-        print(f"n {n}")
-        for family, table in (("A021", table_a), ("S132", table_p)):
-            print(f"{family} total {table.total}")
+    def plain() -> Iterator[str]:
+        yield f"n {args.n}"
+        for family, table in tables.items():
+            yield f"{family} total {table.total}"
             for (a, r), count in table.sorted_items():
-                print(f"  asc {a} rlm {r} count {count}")
+                yield f"  asc {a} rlm {r} count {count}"
         if diff:
-            print("difference:")
+            yield "difference:"
             for (a, r), delta in sorted(diff.items()):
-                print(f"  asc {a} rlm {r} delta {delta}")
+                yield f"  asc {a} rlm {r} delta {delta}"
         else:
-            print("difference none")
-        print(f"verdict {verdict}")
-    elif fmt == "json":
-        payload = {
-            "n": n,
-            "families": {"A021": _triples(table_a), "S132": _triples(table_p)},
+            yield "difference none"
+        yield f"verdict {verdict}"
+
+    return Result(
+        plain(),
+        _document(lambda: {
+            "n": args.n,
+            "families": {family: [[a, r, count] for (a, r), count in table.sorted_items()]
+                         for family, table in tables.items()},
             "difference": [[a, r, delta] for (a, r), delta in sorted(diff.items())],
             "verdict": verdict,
-        }
-        print(json.dumps(payload, **_JSON_OPTS))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["n", "family", "asc", "rlm", "count"])
-        for family, table in (("A021", table_a), ("S132", table_p)):
-            for (a, r), count in table.sorted_items():
-                writer.writerow([n, family, a, r, count])
-    return 0
+        }),
+        ["n", "family", "asc", "rlm", "count"],
+        ([args.n, family, a, r, count] for family, table in tables.items()
+         for (a, r), count in table.sorted_items()))
 
 
-def _cmd_verify(args, fmt, override, verbose) -> int:
+def _cmd_verify(args) -> Result:
     if args.n_max < 1:
         raise ValidationError(f"verify needs n_max >= 1, got {args.n_max}")
+    ascent_cap, perm_cap = _caps(args)
     reports = []
     for n in range(1, args.n_max + 1):
-        if verbose:
+        if args.verbose:
             print(f"checking n={n} ...", file=sys.stderr)
-        report = verify_equidistribution(
-            n,
-            ascent_cap=None if override else ASCENT_CAP,
-            perm_cap=None if override else PERM_CAP)
-        reports.append(report)
-        if not report.passed:
+        reports.append(verify_equidistribution(n, ascent_cap=ascent_cap, perm_cap=perm_cap))
+        if not reports[-1].passed:
             break
-    verdict = "pass" if all(r.passed for r in reports) else "fail"
-
-    if fmt == "plain":
-        for r in reports:
-            if r.passed:
-                print(f"n={r.n} pass ({r.ascent_table.total} per family)")
-            else:
-                print(f"n={r.n} FAIL: {r.failure}")
-        print(f"verdict {verdict}")
-    elif fmt == "json":
-        payload = {
+    verdict = "pass" if reports[-1].passed else "fail"  # only the last can fail
+    return Result(
+        chain((f"n={r.n} pass ({r.ascent_table.total} per family)" if r.passed
+               else f"n={r.n} FAIL: {r.failure}" for r in reports),
+              [f"verdict {verdict}"]),
+        _document(lambda: {
             "max_n": args.n_max,
-            "results": [{"n": r.n, "passed": r.passed,
-                         "total": r.ascent_table.total,
-                         "catalan": r.catalan_value,
-                         "failure": r.failure} for r in reports],
+            "results": [{"n": r.n, "passed": r.passed, "total": r.ascent_table.total,
+                         "catalan": r.catalan_value, "failure": r.failure}
+                        for r in reports],
             "verdict": verdict,
-        }
-        print(json.dumps(payload, **_JSON_OPTS))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["n", "passed", "total", "catalan", "failure"])
-        for r in reports:
-            writer.writerow([r.n, r.passed, r.ascent_table.total,
-                             r.catalan_value, r.failure or ""])
-    return 0 if verdict == "pass" else 1
+        }),
+        ["n", "passed", "total", "catalan", "failure"],
+        ([r.n, r.passed, r.ascent_table.total, r.catalan_value, r.failure or ""]
+         for r in reports),
+        0 if verdict == "pass" else 1)
 
 
 if __name__ == "__main__":

@@ -165,7 +165,8 @@ def parse_seq(text: str) -> tuple[int, ...]:
     if s in ("", EMPTY_TEXT):
         return ()
     tokens = s.split()
-    if len(tokens) == 1 and len(s) > 1 and s.isdigit():
+    # isdecimal, not isdigit: int() rejects digits such as "²"
+    if len(tokens) == 1 and len(s) > 1 and s.isdecimal():
         return tuple(int(ch) for ch in s)
     entries = []
     for tok in tokens:

@@ -59,6 +59,20 @@ class PermSplit:
     right: tuple[int, ...]
 
 
+def _checked_ascent(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a validated 021-avoiding ascent sequence."""
+    x = validate_ascent_sequence(values)
+    require_avoids_word(x, PATTERN_021)
+    return x
+
+
+def _checked_perm(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a validated 132-avoiding permutation."""
+    p = validate_permutation(values)
+    require_avoids_perm(p, PATTERN_132)
+    return p
+
+
 def split_ascent_sequence(seq: Iterable[int]) -> AscentSplit:
     """Split a nonempty 021-avoiding ascent sequence at its special maximum.
 
@@ -67,10 +81,9 @@ def split_ascent_sequence(seq: Iterable[int]) -> AscentSplit:
     >>> split_ascent_sequence((0, 1, 0, 1, 3, 0, 0, 3, 0, 4))
     AscentSplit(left=(0, 1, 0, 1), right=(0, 0, 1, 0, 2))
     """
-    x = validate_ascent_sequence(seq)
+    x = _checked_ascent(seq)
     if not x:
         raise ValidationError("cannot split an empty ascent sequence")
-    require_avoids_word(x, PATTERN_021)
     return _split_ascent(x)
 
 
@@ -99,11 +112,7 @@ def join_ascent_sequence(split: AscentSplit) -> tuple[int, ...]:
     >>> join_ascent_sequence(AscentSplit((0, 1, 0, 1), (0, 0, 1, 0, 2)))
     (0, 1, 0, 1, 3, 0, 0, 3, 0, 4)
     """
-    left = validate_ascent_sequence(split.left)
-    right = validate_ascent_sequence(split.right)
-    require_avoids_word(left, PATTERN_021)
-    require_avoids_word(right, PATTERN_021)
-    return _join_ascent(left, right)
+    return _join_ascent(_checked_ascent(split.left), _checked_ascent(split.right))
 
 
 def _join_ascent(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
@@ -125,10 +134,9 @@ def split_permutation(perm: Iterable[int]) -> PermSplit:
     >>> split_permutation((3, 2, 1))
     PermSplit(left=(), right=(2, 1))
     """
-    p = validate_permutation(perm)
+    p = _checked_perm(perm)
     if not p:
         raise ValidationError("cannot split an empty permutation")
-    require_avoids_perm(p, PATTERN_132)
     return _split_perm(p)
 
 
@@ -144,11 +152,7 @@ def join_permutation(split: PermSplit) -> tuple[int, ...]:
     >>> join_permutation(PermSplit((1,), (1,)))
     (2, 3, 1)
     """
-    left = validate_permutation(split.left)
-    right = validate_permutation(split.right)
-    require_avoids_perm(left, PATTERN_132)
-    require_avoids_perm(right, PATTERN_132)
-    return _join_perm(left, right)
+    return _join_perm(_checked_perm(split.left), _checked_perm(split.right))
 
 
 def _join_perm(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:

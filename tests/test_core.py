@@ -149,6 +149,8 @@ class TestTextForms:
             parse_seq("0 1 x")
         with pytest.raises(ValidationError):
             parse_seq("abc")
+        with pytest.raises(ValidationError):
+            parse_seq("²²")
 
     def test_negative_entries_parse_spaced(self):
         assert parse_seq("-1 3") == (-1, 3)
