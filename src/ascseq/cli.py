@@ -24,6 +24,7 @@ from .core import ValidationError, format_seq, parse_seq, validate_permutation
 from .enumeration import (
     ASCENT_CAP,
     PERM_CAP,
+    _check_length,
     ascent_sequences_avoiding,
     joint_distribution,
     permutations_avoiding,
@@ -229,8 +230,10 @@ def _cmd_map(args) -> Result:
 
 
 def _cmd_distribution(args) -> Result:
-    tables = {"A021": joint_distribution(_stream(args, "ascent", args.n, (PATTERN_021,))),
-              "S132": joint_distribution(_stream(args, "perm", args.n, (PATTERN_132,)))}
+    # both streams check their length cap when created: fail before tallying either
+    streams = {"A021": _stream(args, "ascent", args.n, (PATTERN_021,)),
+               "S132": _stream(args, "perm", args.n, (PATTERN_132,))}
+    tables = {family: joint_distribution(stream) for family, stream in streams.items()}
     diff = tables["A021"].difference(tables["S132"])
     verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 
@@ -266,6 +269,11 @@ def _cmd_verify(args) -> Result:
     if args.n_max < 1:
         raise ValidationError(f"verify needs n_max >= 1, got {args.n_max}")
     ascent_cap, perm_cap = _caps(args)
+    # the passes stop at the first n over a cap; fail there before any pass
+    first_over = min([args.n_max, *(cap + 1 for cap in (ascent_cap, perm_cap)
+                                    if cap is not None)])
+    _check_length(first_over, ascent_cap)
+    _check_length(first_over, perm_cap)
     reports = []
     for n in range(1, args.n_max + 1):
         if args.verbose:

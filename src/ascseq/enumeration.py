@@ -226,8 +226,10 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     n-th Catalan number, and (c) the map sends each sequence to a distinct
     132-avoiding permutation with the same statistics and round-trips back.
     """
-    sequences = list(ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap))
-    perms = list(permutations_avoiding(n, (PATTERN_132,), cap=perm_cap))
+    # both streams check their length cap when created: fail before listing either
+    sequence_stream = ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap)
+    perm_stream = permutations_avoiding(n, (PATTERN_132,), cap=perm_cap)
+    sequences, perms = list(sequence_stream), list(perm_stream)
     table_a = joint_distribution(sequences)
     table_p = joint_distribution(perms)
     diff = table_a.difference(table_p)

@@ -13,6 +13,8 @@ from ascseq import (
     permutation_to_ascent,
     permutations_avoiding,
     rlm,
+    split_ascent_sequence,
+    split_permutation,
 )
 
 A021 = (0, 2, 1)
@@ -90,3 +92,19 @@ class TestBijectivity:
         for n in range(0, 8):
             for perm in permutations_avoiding(n, [S132]):
                 assert ascent_to_permutation(permutation_to_ascent(perm)) == perm
+
+
+class TestDomainErrors:
+    """The map and the split of a family reject an input with the same error."""
+
+    @pytest.mark.parametrize("entry_points, values, pattern, occurrence", [
+        ((ascent_to_permutation, split_ascent_sequence), (0, 1, 0, 2, 1),
+         A021, (1, 4, 5)),
+        ((permutation_to_ascent, split_permutation), (1, 3, 2), S132, (1, 2, 3)),
+    ])
+    def test_same_containment_error(self, entry_points, values, pattern, occurrence):
+        for entry_point in entry_points:
+            with pytest.raises(PatternContainedError) as exc:
+                entry_point(values)
+            assert exc.value.pattern == pattern
+            assert exc.value.occurrence == occurrence

@@ -412,6 +412,24 @@ class TestVerify:
         assert code == 2
 
 
+class TestCapsBeforeWork:
+    """`verify` and `distribution` check both length caps before any search."""
+
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the search ran before the caps were checked")
+
+        monkeypatch.setattr("ascseq.enumeration._completes_occurrence", fail)
+
+    @pytest.mark.parametrize("argv", [("verify", "14"), ("distribution", "14")])
+    def test_permutation_cap_fails_first(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "exceeds the enumeration cap 13" in err
+        assert "internal error" not in err
+
+
 class TestGlobalFlags:
     def test_threads_accepted(self, capsys):
         code, out, _ = run(capsys, "count", "ascent", "4", "--threads", "4")

@@ -120,6 +120,20 @@ class TestPermStreams:
                 assert previous < perm
             previous = perm
 
+    def test_empty_pattern_forbids_everything(self):
+        assert list(permutations_avoiding(0, [()])) == []
+        assert list(permutations_avoiding(3, [()])) == []
+
+    def test_single_entry_pattern(self):
+        assert list(permutations_avoiding(0, [(1,)])) == [()]
+        assert list(permutations_avoiding(2, [(1,)])) == []
+
+    def test_multiple_patterns(self):
+        for n in range(0, 7):
+            expected = [p for p in itertools.permutations(range(1, n + 1))
+                        if brute_avoids(p, (1, 3, 2)) and brute_avoids(p, (2, 1, 3))]
+            assert list(permutations_avoiding(n, [(1, 3, 2), (2, 1, 3)])) == expected
+
 
 class TestCaps:
     def test_ascent_cap(self):
@@ -139,6 +153,16 @@ class TestCaps:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             ascent_sequences(-1)
+
+    def test_verify_checks_both_caps_before_listing(self, monkeypatch):
+        # n = 14 is within the ascent cap but over the permutation cap; the
+        # permutation cap must fail before any ascent sequence is listed
+        def no_search(*args):
+            raise AssertionError("the search ran before the caps were checked")
+
+        monkeypatch.setattr("ascseq.enumeration._completes_occurrence", no_search)
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 13"):
+            verify_equidistribution(14)
 
 
 class TestJointDistribution:
