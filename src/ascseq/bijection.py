@@ -26,24 +26,26 @@ the join reinserts immediately before the run of the right part; a zero
 sequence loses its last entry and the join prepends to a zero right part.
 
 `ascent_to_permutation` maps a 021-avoiding ascent sequence to a 132-avoiding
-permutation of the same length: split at the special maximum, map both parts
-recursively, and join around the new largest value.  `permutation_to_ascent`
-runs the same recursion through the inverse splits.  Both directions preserve
-the pair (asc, rlm), and they are mutually inverse.
+permutation of the same length: split at the special maximum, map both parts,
+and join around the new largest value.  `permutation_to_ascent` runs the same
+decomposition through the inverse splits.  Both directions preserve the pair
+(asc, rlm), and they are mutually inverse.
+
+Neither map recurses or copies its parts.  Each keeps a stack of pending parts
+(index ranges of the input with their place and value offset in the output)
+and writes every output entry once, so no input length can exhaust the
+recursion limit.  `_to_permutation` finds each part's special maximum by
+bisection in O(log n) and `_to_ascent` finds each part's maximum in O(1), so
+the maps take O(n log n) and O(n); the domain checks are O(n) too.  The
+literal recursion over `split_*`/`join_*` is the test suite's reference.
 
 Every public entry point checks its input's domain through `_checked_ascent`
 or `_checked_perm`, the one place each family's domain is decided.
-
-The recursion depth can reach the input length: it does on the zero
-sequence and on 0 1 2 ... n-1.  The length caps keep it shallow inside the
-enumeration and verification harness, but the two map entry points have no
-cap.  On such inputs of about 1,000 entries or more they raise
-RecursionError, and the CLI's `map` exits 2 with "internal error:
-RecursionError".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -199,14 +201,79 @@ def permutation_to_ascent(perm: Iterable[int]) -> tuple[int, ...]:
 
 
 def _to_permutation(x: tuple[int, ...]) -> tuple[int, ...]:
-    if not x:
-        return ()
-    s = _split_ascent(x)
-    return _join_perm(_to_permutation(s.left), _to_permutation(s.right))
+    """Image of a 021-avoiding ascent sequence, by an explicit work stack.
+
+    A pending part is a range x[lo:hi] whose image fills out[o:o + hi - lo]
+    with the values base+1..base+(hi-lo).  Call D(j) = asc(x[:j]) + 1 - x[j]
+    the slack of a nonzero entry.  A part reached through r right parts (a
+    left part keeps every slack, a right part lowers each by one) meets its
+    own ascent bound exactly at the nonzero j with D(j) = r, and the last of
+    those starts the run of its special maximum.  The run's extra copies are
+    peeled off one by one as the part's largest values; the last copy then
+    splits what is left in two.
+    """
+    n = len(x)
+    by_slack: list[list[int]] = [[] for _ in range(n + 1)]
+    ascents = 0
+    for j, v in enumerate(x):
+        if v:
+            by_slack[ascents + 1 - v].append(j)
+        if j and x[j - 1] < v:
+            ascents += 1
+    out = [0] * n
+    work = [(0, n, 0, 0, 0)]  # (lo, hi, r, o, base)
+    while work:
+        lo, hi, r, o, base = work.pop()
+        m = hi - lo
+        group = by_slack[r]
+        t = bisect_left(group, hi) - 1
+        if t < 0 or group[t] < lo:  # a zero part: the decreasing permutation
+            out[o:o + m] = range(base + m, base, -1)
+            continue
+        s = e = group[t]
+        while e + 1 < hi and x[e + 1] == x[s]:
+            e += 1
+        out[o:o + e - s] = range(base + m, base + m - (e - s), -1)
+        o += e - s
+        left, right = s - lo, hi - e - 1
+        out[o + left] = base + left + right + 1
+        work.append((lo, s, r, o, base + right))
+        work.append((e + 1, hi, r + 1, o + left + 1, base))
+    return tuple(out)
 
 
 def _to_ascent(p: tuple[int, ...]) -> tuple[int, ...]:
-    if not p:
-        return ()
-    s = _split_perm(p)
-    return _join_ascent(_to_ascent(s.left), _to_ascent(s.right))
+    """Preimage of a 132-avoiding permutation, by an explicit work stack.
+
+    A pending part is a range p[lo:hi] holding the values base+1..base+(hi-lo)
+    whose preimage fills out[o:o + hi - lo], each nonzero entry raised by
+    `shift`.  While the part's maximum comes first, it is an empty-left split
+    that repeats the rest's special maximum; k such maxima, then either
+    nothing (k zeros) or a maximum at i > lo.  There the preimage is that of
+    p[lo:i], then k + 1 copies of peak = asc(p[lo:i]) + 1 (the map preserves
+    asc), then that of p[i+1:hi] with its nonzero entries raised by peak - 1.
+    """
+    n = len(p)
+    where = [0] * (n + 1)  # where[v]: the position of value v
+    for i, v in enumerate(p):
+        where[v] = i
+    rises = [0] * (n + 1)  # rises[i]: the ascents of p[:i]
+    for i in range(1, n):
+        rises[i + 1] = rises[i] + (p[i - 1] < p[i])
+    out = [0] * n
+    work = [(0, n, 0, 0, 0)]  # (lo, hi, base, o, shift)
+    while work:
+        lo, hi, base, o, shift = work.pop()
+        k = 0
+        while lo < hi and where[base + hi - lo] == lo:
+            lo += 1
+            k += 1
+        if lo == hi:
+            continue  # k zeros, already in place
+        i = where[base + hi - lo]
+        left, right = i - lo, hi - i - 1
+        peak = rises[i] - rises[lo + 1] + 1
+        out[o + left:o + left + k + 1] = [peak + shift] * (k + 1)
+        work.append((lo, i, base + right, o, shift))
+        work.append((i + 1, hi, base, o + left + k + 1, shift + peak - 1))
+    return tuple(out)

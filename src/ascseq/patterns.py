@@ -7,11 +7,15 @@ equal sequence entries.  Permutation patterns relate distinct entries, where
 the equality constraints are vacuous, so one engine serves both.
 
 The engine is a depth-first search over index tuples, pruned by checking each
-candidate position against all previously chosen ones.  For the short
-patterns this package deals in (length <= 4 at desk scale) the search is the
-authoritative implementation; `nonzero_weakly_increasing` is a fast
-characterization of 021-avoidance that the test suite cross-checks against it
-exhaustively, not a replacement for it.
+candidate position against all previously chosen ones; it lists occurrences
+(`occurrences_*`, `iter_occurrences_*`).  The yes/no questions (`avoids_*`,
+`require_avoids_*`) need only the first occurrence.  For 021 on words and 132
+on permutations, whose pairwise relations are identical (positions i < j < k
+with x_i < x_k < x_j), `_first_021` finds it in O(n); every other pattern
+takes the search's first hit.  The two agree position for position, which
+the test suite checks exhaustively at small lengths.  A 021-avoiding ascent
+sequence is also one whose nonzero entries weakly increase
+(`nonzero_weakly_increasing`, the Duncan-Steingrimsson characterization).
 """
 
 from __future__ import annotations
@@ -111,6 +115,60 @@ def _iter_occurrences(seq: Sequence[int],
     yield from extend(0, 0)
 
 
+_RELATIONS_021 = _relations(PATTERN_021)  # those of PATTERN_132 too
+
+
+def _first_021(seq: Sequence[int]) -> tuple[int, int, int] | None:
+    """The lexicographically first (i, j, k), 1-based, with i < j < k and
+    x_i < x_k < x_j; None if there is none.  O(n), in three passes.
+
+    >>> _first_021((0, 1, 2, 1, 0, 3, 2))
+    (1, 3, 4)
+    >>> _first_021((3, 1, 2)) is None
+    True
+    """
+    n = len(seq)
+    # 1. Right to left with a stack of entries, each below the ones under it.
+    #    An entry is popped by the first bigger entry to its left, so before
+    #    position i is pushed, `third` is the largest x_k with a bigger entry
+    #    between i and k.  i works iff x_i < third; keep the smallest such i.
+    first = None
+    third = float("-inf")
+    stack: list[int] = []
+    for pos in range(n - 1, -1, -1):
+        v = seq[pos]
+        if v < third:
+            first = pos
+        while stack and stack[-1] < v:
+            third = max(third, stack.pop())
+        stack.append(v)
+    if first is None:
+        return None
+    low = seq[first]
+    # 2. Right to left over the entries above x_i: j works iff some such
+    #    entry to its right lies below x_j.  Keep the smallest such j.
+    least = float("inf")
+    for pos in range(n - 1, first, -1):
+        v = seq[pos]
+        if v > least:
+            middle = pos
+        elif low < v:
+            least = v
+    # 3. The first k after j strictly between x_i and x_j.
+    high = seq[middle]
+    k = next(pos for pos in range(middle + 1, n) if low < seq[pos] < high)
+    return first + 1, middle + 1, k + 1
+
+
+def _first_occurrence(seq: Sequence[int],
+                      pattern: Sequence[int]) -> tuple[int, ...] | None:
+    """The lexicographically first occurrence, or None: the one place that
+    picks the O(n) scan for 021/132 over the general search."""
+    if _relations(pattern) == _RELATIONS_021:
+        return _first_021(seq)
+    return next(_iter_occurrences(seq, pattern), None)
+
+
 def iter_occurrences_word(seq: Iterable[int],
                           pattern: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Occurrences of a word pattern, lazily, as 1-based index tuples."""
@@ -132,7 +190,7 @@ def avoids_word(seq: Iterable[int], pattern: Iterable[int]) -> bool:
 
     Stops at the first occurrence found.
     """
-    return next(iter_occurrences_word(seq, pattern), None) is None
+    return _first_occurrence(tuple(seq), validate_word_pattern(pattern)) is None
 
 
 def iter_occurrences_perm(perm: Iterable[int],
@@ -150,7 +208,8 @@ def occurrences_perm(perm: Iterable[int],
 
 def avoids_perm(perm: Iterable[int], pattern: Iterable[int]) -> bool:
     """True iff the permutation contains no occurrence of the pattern."""
-    return next(iter_occurrences_perm(perm, pattern), None) is None
+    return _first_occurrence(validate_permutation(perm),
+                             validate_permutation(pattern)) is None
 
 
 def nonzero_weakly_increasing(seq: Iterable[int]) -> bool:
@@ -176,7 +235,7 @@ def nonzero_weakly_increasing(seq: Iterable[int]) -> bool:
 
 def require_avoids_word(seq: Sequence[int], pattern: Sequence[int]) -> None:
     """Raise PatternContainedError if the sequence contains the word pattern."""
-    hit = next(_iter_occurrences(seq, pattern), None)
+    hit = _first_occurrence(seq, pattern)
     if hit is not None:
         raise PatternContainedError(
             f"sequence contains {pattern_text(pattern)} at positions {hit}",
@@ -185,7 +244,7 @@ def require_avoids_word(seq: Sequence[int], pattern: Sequence[int]) -> None:
 
 def require_avoids_perm(perm: Sequence[int], pattern: Sequence[int]) -> None:
     """Raise PatternContainedError if the permutation contains the pattern."""
-    hit = next(_iter_occurrences(perm, pattern), None)
+    hit = _first_occurrence(perm, pattern)
     if hit is not None:
         raise PatternContainedError(
             f"permutation contains {pattern_text(pattern)} at positions {hit}",

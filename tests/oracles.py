@@ -24,12 +24,15 @@ def order_isomorphic(values, pattern) -> bool:
     return True
 
 
-def brute_occurrences(seq, pattern) -> list[tuple[int, ...]]:
+def iter_brute_occurrences(seq, pattern):
     """Every index tuple checked against the definition; 1-based, lexicographic."""
-    k = len(pattern)
-    return [tuple(i + 1 for i in idx)
-            for idx in combinations(range(len(seq)), k)
-            if order_isomorphic([seq[i] for i in idx], pattern)]
+    return (tuple(i + 1 for i in idx)
+            for idx in combinations(range(len(seq)), len(pattern))
+            if order_isomorphic([seq[i] for i in idx], pattern))
+
+
+def brute_occurrences(seq, pattern) -> list[tuple[int, ...]]:
+    return list(iter_brute_occurrences(seq, pattern))
 
 
 def brute_avoids(seq, pattern) -> bool:
@@ -100,3 +103,49 @@ def special_indices_reference(seq) -> tuple[int, set[int]]:
         if seq[j] == before[j] + 1:
             special.add(i)
     return value, special
+
+
+def ascent_to_permutation_reference(seq) -> tuple[int, ...]:
+    """The bijection as a literal recursion: split the 021-avoiding ascent
+    sequence at its special maximum, map both parts, join around the maximum.
+    """
+    x = tuple(seq)
+    if not x:
+        return ()
+    value, special = special_indices_reference(x)
+    if value == 0:  # zero sequence: drop one zero
+        left, right = (), x[:-1]
+    elif len(special) > 1:  # repeated: drop the first copy
+        s = min(special)
+        left, right = (), x[:s] + x[s + 1:]
+    else:
+        (i,) = special
+        left, right = x[:i], tuple(v - value + 1 if v else 0 for v in x[i + 1:])
+    image_left = ascent_to_permutation_reference(left)
+    image_right = ascent_to_permutation_reference(right)
+    return tuple(v + len(right) for v in image_left) + (len(x),) + image_right
+
+
+def _ranks(values) -> tuple[int, ...]:
+    order = {v: r for r, v in enumerate(sorted(values), 1)}
+    return tuple(order[v] for v in values)
+
+
+def permutation_to_ascent_reference(perm) -> tuple[int, ...]:
+    """The inverse as a literal recursion: split the 132-avoiding permutation
+    around its maximum, map both factors back, join at the special maximum.
+    """
+    p = tuple(perm)
+    if not p:
+        return ()
+    i = p.index(len(p))
+    left = permutation_to_ascent_reference(_ranks(p[:i]))
+    right = permutation_to_ascent_reference(_ranks(p[i + 1:]))
+    if left:
+        peak = asc_reference(left) + 1
+        return left + (peak,) + tuple(v + peak - 1 if v else 0 for v in right)
+    value, special = special_indices_reference(right)
+    if value == 0:
+        return (0,) * len(p)
+    s = min(special)
+    return right[:s] + (value,) + right[s:]

@@ -1,6 +1,12 @@
 """The bijection: golden values, exhaustive bijectivity, statistic preservation."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ascent_to_permutation_reference, permutation_to_ascent_reference
 
 from ascseq import (
     AscentSequenceError,
@@ -8,6 +14,7 @@ from ascseq import (
     PermutationError,
     asc,
     ascent_sequences_avoiding,
+    avoids_perm,
     ascent_to_permutation,
     parse_seq,
     permutation_to_ascent,
@@ -108,3 +115,60 @@ class TestDomainErrors:
                 entry_point(values)
             assert exc.value.pattern == pattern
             assert exc.value.occurrence == occurrence
+
+
+class TestAgainstReference:
+    """The work-stack maps agree with the literal recursion, exhaustively."""
+
+    def test_forward_to_length_11(self):
+        for n in range(0, 12):
+            for x in ascent_sequences_avoiding(n, [A021]):
+                assert ascent_to_permutation(x) == ascent_to_permutation_reference(x)
+
+    def test_inverse_to_length_10(self):
+        for n in range(0, 11):
+            for perm in permutations_avoiding(n, [S132]):
+                assert permutation_to_ascent(perm) == permutation_to_ascent_reference(perm)
+
+
+def random_021_avoider(n, rng):
+    """An ascent sequence whose nonzero entries weakly increase: zeros, repeats,
+    jumps to the bound and values in between, mixed at random."""
+    x, ascents, top = [], 0, 0  # top: the last nonzero entry
+    for j in range(n):
+        v = 0 if j == 0 else rng.choice((0, top, ascents + 1,
+                                         rng.randint(top, ascents + 1)))
+        if x and x[-1] < v:
+            ascents += 1
+        x.append(v)
+        top = v or top
+    return tuple(x)
+
+
+def extreme_shape(name, n):
+    """(map, input, closed-form image) for the four extreme shapes of length n."""
+    zeros, up, down = (0,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    staircase = tuple(range(n))
+    return {"zeros": (ascent_to_permutation, zeros, down),
+            "staircase": (ascent_to_permutation, staircase, up),
+            "identity": (permutation_to_ascent, up, staircase),
+            "decreasing": (permutation_to_ascent, down, zeros)}[name]
+
+
+class TestLongInputs:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3000), st.randoms(use_true_random=False))
+    def test_round_trip(self, n, rng):
+        x = random_021_avoider(n, rng)
+        image = ascent_to_permutation(x)
+        assert len(image) == n and avoids_perm(image, S132)
+        assert (asc(image), rlm(image)) == (asc(x), rlm(x))
+        assert permutation_to_ascent(image) == x
+
+    @pytest.mark.parametrize("shape", ["zeros", "staircase", "identity", "decreasing"])
+    def test_length_100000_within_budget(self, shape):
+        # about 0.1-0.4 s each on 2 cores; a quadratic map would take minutes
+        apply, source, image = extreme_shape(shape, 10 ** 5)
+        start = time.perf_counter()
+        assert apply(source) == image
+        assert time.perf_counter() - start < 5

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -257,6 +261,73 @@ class TestMap:
         assert out == "object\n0 1 0\n"
         _, out, _ = run(capsys, "map", "inverse", "ε", "--format", "json")
         assert out == "[]\n"
+
+
+N_LONG = 5000
+
+
+def text(values):
+    return " ".join(map(str, values))
+
+
+class TestMapLongInputs:
+    """`map` on 5,000 entries: the extreme shapes map to closed forms."""
+
+    @pytest.mark.parametrize("direction, source, image", [
+        ("forward", [0] * N_LONG, range(N_LONG, 0, -1)),
+        ("forward", range(N_LONG), range(1, N_LONG + 1)),
+        ("inverse", range(1, N_LONG + 1), range(N_LONG)),
+        ("inverse", range(N_LONG, 0, -1), [0] * N_LONG),
+    ])
+    def test_extreme_shapes(self, capsys, direction, source, image):
+        code, out, err = run(capsys, "map", direction, text(source))
+        assert (code, out, err) == (0, text(image) + "\n", "")
+
+    def test_long_rejected_input(self, capsys):
+        # the first 021 uses the 0, the 2 and the appended 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, "map", "forward", text([*range(N_LONG), 1]))
+        assert (code, out) == (2, "")
+        assert err == f"error: sequence contains 021 at positions (1, 3, {N_LONG + 1})\n"
+        assert time.perf_counter() - start < 5
+
+
+class TestParserReuse:
+    """`main` called again and again in one process prints what fresh processes
+    print: no parser or namespace state carries over from call to call."""
+
+    CALLS = [
+        ("enumerate", "perm", "3", "--avoid", "132", "--avoid", "213"),
+        ("enumerate", "ascent", "4", "--format", "csv"),
+        ("enumerate", "ascent", "3", "--avoid", "021"),
+        ("--format", "json", "count", "ascent", "5", "--avoid", "0101"),
+        ("count", "perm", "4"),
+        ("stats", "ascent", "0 1 0 1 3 3", "--format", "csv"),
+        ("map", "forward", "0 1 0", "--format", "json"),
+        ("--verbose", "verify", "2"),
+        ("count", "perm", "4", "--avoid"),
+        ("map", "sideways", "0"),
+        ("--help",),
+        ("count", "--help"),
+        ("enumerate", "ascent", "3"),
+    ]
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to this width
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help and usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "ascseq.cli", *argv],
+                                   capture_output=True, text=True, env=env,
+                                   timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 class TestDistribution:

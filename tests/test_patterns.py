@@ -1,12 +1,15 @@
 """The occurrence engine against brute force, and the 021 characterization."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_avoids, brute_occurrences
+from oracles import brute_avoids, brute_occurrences, iter_brute_occurrences
 
 from ascseq import (
+    PatternContainedError,
     ValidationError,
     ascent_sequences,
     ascent_sequences_avoiding,
@@ -17,6 +20,7 @@ from ascseq import (
     occurrences_word,
     validate_word_pattern,
 )
+from ascseq.patterns import _first_021, require_avoids_perm, require_avoids_word
 
 WORD_PATTERNS = [(0,), (0, 0), (0, 1), (1, 0), (0, 2, 1), (1, 0, 1),
                  (0, 0, 1), (0, 1, 0, 1), (2, 1, 0), (0, 1, 2)]
@@ -109,6 +113,52 @@ class TestPermOccurrences:
             occurrences_perm((1, 1), (1, 2))
         with pytest.raises(ValidationError):
             avoids_perm((1, 2), (2, 2))
+
+
+class TestFirst021:
+    """The O(n) scan finds the brute-force first occurrence, ties included."""
+
+    @staticmethod
+    def words():
+        for n in range(0, 8):
+            yield from itertools.product(range(5), repeat=n)
+        yield from itertools.product(range(4), repeat=8)
+
+    def test_words_match_brute_force(self):
+        for word in self.words():
+            assert _first_021(word) == next(iter_brute_occurrences(word, (0, 2, 1)), None)
+
+    def test_permutations_match_brute_force(self):
+        for n in range(0, 9):
+            for perm in itertools.permutations(range(1, n + 1)):
+                assert _first_021(perm) == \
+                    next(iter_brute_occurrences(perm, (1, 3, 2)), None)
+
+    def test_domain_errors_name_the_first_occurrence(self):
+        for n in range(3, 7):
+            for word in itertools.product(range(4), repeat=n):
+                occ = occurrences_word(word, (0, 2, 1))
+                assert avoids_word(word, (0, 2, 1)) == (not occ)
+                if occ:
+                    with pytest.raises(PatternContainedError) as exc:
+                        require_avoids_word(word, (0, 2, 1))
+                    assert exc.value.occurrence == occ[0]
+                    assert str(exc.value) == \
+                        f"sequence contains 021 at positions {occ[0]}"
+            for perm in itertools.permutations(range(1, n + 1)):
+                occ = occurrences_perm(perm, (1, 3, 2))
+                assert avoids_perm(perm, (1, 3, 2)) == (not occ)
+                if occ:
+                    with pytest.raises(PatternContainedError) as exc:
+                        require_avoids_perm(perm, (1, 3, 2))
+                    assert exc.value.occurrence == occ[0]
+
+    def test_long_staircase_and_identity(self):
+        # the search is cubic on these (about 1 s already at length 400); the scan is linear
+        stair = tuple(range(5000))
+        assert avoids_word(stair, (0, 2, 1))
+        assert avoids_perm(tuple(range(1, 5001)), (1, 3, 2))
+        assert _first_021(stair + (1,)) == (1, 3, 5001)
 
 
 class TestWordPatternValidation:
