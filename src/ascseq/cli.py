@@ -26,6 +26,8 @@ from .enumeration import (
     PERM_CAP,
     _check_length,
     ascent_sequences_avoiding,
+    count_ascent_sequences_avoiding,
+    count_permutations_avoiding,
     joint_distribution,
     permutations_avoiding,
     verify_equidistribution,
@@ -184,8 +186,12 @@ def _cmd_enumerate(args) -> Result:
 
 
 def _cmd_count(args) -> Result:
-    total = sum(1 for _ in _stream(args, args.kind, args.n,
-                                   [parse_seq(text) for text in args.avoid]))
+    ascent_cap, perm_cap = _caps(args)
+    patterns = [parse_seq(text) for text in args.avoid]
+    if args.kind == "ascent":
+        total = count_ascent_sequences_avoiding(args.n, patterns, cap=ascent_cap)
+    else:
+        total = count_permutations_avoiding(args.n, patterns, cap=perm_cap)
     return Result([str(total)], [json.dumps(total)], ["count"], [[total]])
 
 

@@ -1,12 +1,25 @@
 """Exhaustive generation, exact counting, joint distributions, verification.
 
-Each family is produced by one pruned depth-first search: a prefix is
-extended only while it still avoids every requested pattern.  Containment can
-never be undone by extension, so discarding a dirty prefix's whole subtree is
-sound, and it keeps the search tree near the size of the output instead of
-the full Fishburn- or factorial-sized space.  Streams come out in
-lexicographic order with no duplicates; counting consumes the same stream, so
-counts and listings cannot diverge.
+Each family has one search: a depth-first walk that appends one entry at a
+time and carries the prefix's avoidance state down the tree.  For each
+pattern of length k and each l < k - 1, the state keeps the distinct value
+tuples of the prefix that realise pattern[:l].  A realised (k-1)-tuple can
+only forbid the values that would complete it, an open interval or a single
+value, so those are kept as one bitmask of forbidden next values.  Appending
+a value updates the state once (`_advance`); no candidate re-scans the
+prefix.  Containment survives every extension, so a forbidden value is never
+appended.  A permutation prefix is also dropped as soon as an unused value
+is forbidden: that value has to come later, and then it completes an
+occurrence.
+
+Streams walk the tree with an explicit stack, in lexicographic order with no
+duplicates.  Counts run the same transition over the same tree, but memoize
+the number of objects below each node on a canonical key: (depth, ascents,
+last entry, state) for ascent sequences, and (entries left, state) for
+permutations, with each used value replaced by the number of unused values
+below it, which is all the rest of the search can see.  So a count does not
+list its objects; the test suite checks counts against listings
+exhaustively at small n.
 
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
 are capped by default (20 for ascent sequences, 13 for permutations) purely
@@ -15,18 +28,13 @@ as a guard against runaway jobs; pass cap=None to lift.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
 from .core import format_seq, validate_permutation
-from .patterns import (
-    PATTERN_021,
-    PATTERN_132,
-    _completes_occurrence,
-    _relations,
-    validate_word_pattern,
-)
+from .patterns import PATTERN_021, PATTERN_132, validate_word_pattern
 from .stats import asc, rlm
 
 ASCENT_CAP = 20  # ~6.6e9 021-avoiders at n = 20: past desk scale
@@ -66,6 +74,217 @@ def _check_length(n: int, cap: int | None) -> None:
             f"pass cap=None (CLI: --max-n-override) to force")
 
 
+# ------------------------------------------------------------ avoidance state
+#
+# A state is (forbidden, levels).  `forbidden` is the bitmask of next values
+# that would complete an occurrence.  Each level holds the realisations of
+# one pattern prefix pattern[:l], 0 <= l < k - 1, as (lo, hi, values)
+# entries: `values` are the tuple's distinct values by increasing pattern
+# letter (which fixes the tuple), and the tuple extends by letter pattern[l]
+# exactly to the v with lo < v < hi.  An equal letter gives hi = lo + 2.
+# `top` bounds every value and stands for "no bound above".
+
+
+def _compile(patterns: Sequence[Sequence[int]], top: int):
+    """The transition table for nonempty patterns over values below `top`,
+    and the state of the empty prefix."""
+    plans, levels, forbidden = [], [], 0
+    for pattern in patterns:
+        k = len(pattern)
+        if k == 1:  # every value completes an occurrence
+            forbidden = (1 << top) - 1
+            continue
+        slots = [_slot(pattern, length) for length in range(k)]
+        first = len(levels)
+        for length in range(k - 1):
+            target = first + length + 1 if length + 2 < k else -1  # -1: forbidden
+            plans.append((*slots[length], target, *slots[length + 1]))
+            levels.append(frozenset())
+        levels[first] = frozenset({(-1, top, ())})
+    return (tuple(plans), top), (forbidden, tuple(levels))
+
+
+def _slot(pattern: Sequence[int], length: int) -> tuple[int, bool]:
+    """Where letter pattern[length] falls among the distinct letters before
+    it: their index, and whether the letter there is equal."""
+    letters = sorted(set(pattern[:length]))
+    j = bisect_left(letters, pattern[length])
+    return j, j < len(letters) and letters[j] == pattern[length]
+
+
+def _advance(search, state, v: int):
+    """The state of a prefix with state `state` after appending v.
+
+    Each realisation the new entry extends moves up one level, or, from the
+    last level, adds the values that would complete it to `forbidden`.
+    Tuples no value can extend are dropped.
+    """
+    plans, top = search
+    forbidden, levels = state
+    grown: dict[int, set] = {}
+    for q, entries in enumerate(levels):
+        j, equal, target, child_j, child_equal = plans[q]
+        for lo, hi, values in entries:
+            if not lo < v < hi:
+                continue
+            if not equal:
+                values = values[:j] + (v,) + values[j:]
+            if child_equal:
+                lo = values[child_j] - 1
+                hi = lo + 2
+            else:
+                lo = values[child_j - 1] if child_j else -1
+                hi = values[child_j] if child_j < len(values) else top
+                if hi - lo < 2:
+                    continue
+            if target < 0:
+                forbidden |= (1 << hi) - (1 << (lo + 1))
+            else:
+                grown.setdefault(target, set()).add((lo, hi, values))
+    return forbidden, tuple(entries | grown[q] if q in grown else entries
+                            for q, entries in enumerate(levels))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# -------------------------------------------------------------- the searches
+#
+# A node is a tuple whose first item is the prefix.  `children` lists the
+# nodes one entry deeper in lexicographic order; `leaves` gives the mask of
+# last entries of a node one entry short of length n, which push no state.
+
+
+class _AscentSearch:
+    """Ascent sequences of length n >= 1 avoiding the patterns.  Nodes are
+    (prefix, state, ascents, last entry); the root's -1s admit only 0."""
+
+    def __init__(self, n: int, search, start) -> None:
+        self.n, self.search = n, search
+        self.root = ((), start, -1, -1)
+        self._codes: dict = {}
+
+    def children(self, node) -> list:
+        prefix, state, ascents, last = node
+        return [(prefix + (v,), _advance(self.search, state, v), ascents + (v > last), v)
+                for v in _bits(self.leaves(node))]
+
+    @staticmethod
+    def leaves(node) -> int:
+        return ((1 << node[2] + 2) - 1) & ~node[1][0]
+
+    def key(self, node) -> int:
+        prefix, (forbidden, levels), ascents, last = node
+        codes, top = self._codes, self.search[1]
+        state = 0
+        for q, entries in enumerate(levels):
+            for entry in entries:
+                state |= 1 << codes.setdefault((q, entry[2]), len(codes))
+        base = top + 1  # the root's -1s shift to 0
+        return (((state << top | forbidden) * base + last + 1) * base
+                + ascents + 1) * base + len(prefix)
+
+
+class _PermSearch:
+    """Permutations of 1..n, n >= 1, avoiding the patterns.  Nodes are
+    (prefix, state, mask of unused values)."""
+
+    def __init__(self, n: int, search, start) -> None:
+        self.n, self.search = n, search
+        self.root = ((), start, (1 << n + 1) - 2)
+        self._codes: dict = {}
+
+    def children(self, node) -> list:
+        prefix, state, unused = node
+        out = []
+        for v in _bits(unused & ~state[0]):
+            rest = unused ^ (1 << v)
+            child = _advance(self.search, state, v)
+            if not child[0] & rest:  # else an unused value can never be placed
+                out.append((prefix + (v,), child, rest))
+        return out
+
+    @staticmethod
+    def leaves(node) -> int:
+        return node[2] & ~node[1][0]
+
+    def key(self, node) -> int:
+        _, (_, levels), unused = node
+        below, count = [], 0  # below[x]: unused values below x
+        for x in range(self.search[1] + 1):
+            below.append(count)
+            count += unused >> x & 1
+        codes, state = self._codes, 0
+        for q, entries in enumerate(levels):
+            for lo, hi, values in entries:
+                if below[hi] > below[lo + 1]:  # else no unused value extends it
+                    gaps = tuple(below[x] for x in values)
+                    state |= 1 << codes.setdefault((q, gaps), len(codes))
+        return state * (self.n + 1) + count
+
+
+def _walk(tree) -> Iterator[tuple[int, ...]]:
+    """Every object of the search, in lexicographic order, by an explicit stack."""
+    last_depth = tree.n - 1
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        prefix = node[0]
+        if len(prefix) == last_depth:
+            for v in _bits(tree.leaves(node)):
+                yield prefix + (v,)
+        else:
+            stack += reversed(tree.children(node))
+
+
+def _tally(tree) -> int:
+    """The number of objects of the search: the walk of `_walk`, with the
+    count below each node memoized on its canonical key."""
+    last_depth, memo = tree.n - 1, {}
+    stack = [[None, [tree.root], 0]]  # per open node: key, children left, count
+    while True:
+        frame = stack[-1]
+        if not frame[1]:
+            stack.pop()
+            if not stack:
+                return frame[2]
+            memo[frame[0]] = frame[2]
+            stack[-1][2] += frame[2]
+            continue
+        node = frame[1].pop()
+        if len(node[0]) == last_depth:
+            frame[2] += tree.leaves(node).bit_count()
+            continue
+        key = tree.key(node)
+        if key in memo:
+            frame[2] += memo[key]
+        else:
+            stack.append([key, tree.children(node), 0])
+
+
+def _iter_objects(family: type, n: int,
+                  patterns: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    if any(len(p) == 0 for p in patterns):
+        return  # the empty pattern occurs in everything, even the empty object
+    if n == 0:
+        yield ()
+        return
+    yield from _walk(family(n, *_compile(patterns, n + 1)))
+
+
+def _count_objects(family: type, n: int, patterns: Sequence[Sequence[int]]) -> int:
+    if any(len(p) == 0 for p in patterns):
+        return 0
+    return 1 if n == 0 else _tally(family(n, *_compile(patterns, n + 1)))
+
+
 def ascent_sequences(n: int, *, cap: int | None = ASCENT_CAP) -> Iterator[tuple[int, ...]]:
     """All ascent sequences of length n, in lexicographic order."""
     return ascent_sequences_avoiding(n, (), cap=cap)
@@ -80,33 +299,9 @@ def ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(ascent_sequences_avoiding(3, [(0, 2, 1)]))
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
-    compiled = [_relations(validate_word_pattern(p)) for p in patterns]
+    checked = [validate_word_pattern(p) for p in patterns]
     _check_length(n, cap)
-    return _iter_ascent(n, compiled)
-
-
-def _iter_ascent(n: int, compiled: list) -> Iterator[tuple[int, ...]]:
-    if any(len(rels) == 0 for rels in compiled):
-        return  # the empty pattern occurs in everything, even the empty object
-    if n == 0:
-        yield ()
-        return
-    if any(_completes_occurrence((), 0, rels) for rels in compiled):
-        return
-    prefix = [0]
-
-    def grow(depth: int, ascents: int, last: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        for v in range(ascents + 2):
-            if any(_completes_occurrence(prefix, v, rels) for rels in compiled):
-                continue
-            prefix.append(v)
-            yield from grow(depth + 1, ascents + (v > last), v)
-            prefix.pop()
-
-    yield from grow(1, 0, 0)
+    return _iter_objects(_AscentSearch, n, checked)
 
 
 def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -118,48 +313,36 @@ def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(permutations_avoiding(3, [(1, 3, 2)]))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    compiled = [_relations(validate_permutation(p)) for p in patterns]
+    checked = [validate_permutation(p) for p in patterns]
     _check_length(n, cap)
-    return _iter_perms(n, compiled)
-
-
-def _iter_perms(n: int, compiled: list) -> Iterator[tuple[int, ...]]:
-    if any(len(rels) == 0 for rels in compiled):
-        return
-    if n == 0:
-        yield ()
-        return
-    used = [False] * (n + 1)
-    prefix: list[int] = []
-
-    def grow(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if any(_completes_occurrence(prefix, v, rels) for rels in compiled):
-                continue
-            used[v] = True
-            prefix.append(v)
-            yield from grow(depth + 1)
-            prefix.pop()
-            used[v] = False
-
-    yield from grow(0)
+    return _iter_objects(_PermSearch, n, checked)
 
 
 def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
                                     *, cap: int | None = ASCENT_CAP) -> int:
-    """Exact count; consumes the same pruned search as the stream."""
-    return sum(1 for _ in ascent_sequences_avoiding(n, patterns, cap=cap))
+    """Exact count, without listing: the stream's search with the count below
+    each node memoized on (depth, ascents, last entry, avoidance state).
+
+    >>> count_ascent_sequences_avoiding(14, [(0, 2, 1)]) == catalan(14)
+    True
+    """
+    checked = [validate_word_pattern(p) for p in patterns]
+    _check_length(n, cap)
+    return _count_objects(_AscentSearch, n, checked)
 
 
 def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
                                 *, cap: int | None = PERM_CAP) -> int:
-    """Exact count; consumes the same pruned search as the stream."""
-    return sum(1 for _ in permutations_avoiding(n, patterns, cap=cap))
+    """Exact count, without listing: the stream's search with the count below
+    each node memoized on (entries left, avoidance state with each used value
+    replaced by the number of unused values below it).
+
+    >>> count_permutations_avoiding(13, [(1, 3, 2)]) == catalan(13)
+    True
+    """
+    checked = [validate_permutation(p) for p in patterns]
+    _check_length(n, cap)
+    return _count_objects(_PermSearch, n, checked)
 
 
 @dataclass(frozen=True)

@@ -249,56 +249,3 @@ def require_avoids_perm(perm: Sequence[int], pattern: Sequence[int]) -> None:
         raise PatternContainedError(
             f"permutation contains {pattern_text(pattern)} at positions {hit}",
             pattern=tuple(pattern), occurrence=hit)
-
-
-def _completes_occurrence(prefix: Sequence[int], value: int,
-                          rels: tuple[tuple[int, ...], ...]) -> bool:
-    """Would appending `value` create an occurrence ending at the new position?
-
-    `rels` is the output of _relations() for a nonempty pattern.  This is the
-    hot path of enumeration pruning: the last pattern slot is pinned to the
-    appended value and the remaining slots are filled by depth-first search.
-    Sound as a subtree filter because containment survives every extension.
-    """
-    k = len(rels)
-    if k == 1:
-        return True
-    last = k - 1
-    want_v = rels[last]  # want_v[t]: required sign(value - entry in slot t)
-    m = len(prefix)
-    if m < last:
-        return False
-    # cheap necessary condition: every slot needs at least one position whose
-    # relation to the appended value matches
-    for t in range(last):
-        r = want_v[t]
-        for x in prefix:
-            if ((value > x) - (value < x)) == r:
-                break
-        else:
-            return False
-    chosen = [0] * last
-
-    def assign(slot: int, start: int) -> bool:
-        rv = want_v[slot]
-        want = rels[slot]
-        for pos in range(start, m - (last - slot) + 1):
-            x = prefix[pos]
-            if ((value > x) - (value < x)) != rv:
-                continue
-            ok = True
-            for t in range(slot):
-                c = chosen[t]
-                if ((x > c) - (x < c)) != want[t]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if slot == last - 1:
-                return True
-            chosen[slot] = x
-            if assign(slot + 1, pos + 1):
-                return True
-        return False
-
-    return assign(0, 0)

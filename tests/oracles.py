@@ -36,7 +36,66 @@ def brute_occurrences(seq, pattern) -> list[tuple[int, ...]]:
 
 
 def brute_avoids(seq, pattern) -> bool:
-    return not brute_occurrences(seq, pattern)
+    return next(iter_brute_occurrences(seq, pattern), None) is None
+
+
+def relations(pattern) -> tuple[tuple[int, ...], ...]:
+    """rels[j][t] = sign(pattern[j] - pattern[t]) for t < j."""
+    return tuple(tuple((pattern[j] > pattern[t]) - (pattern[j] < pattern[t])
+                       for t in range(j))
+                 for j in range(len(pattern)))
+
+
+def completes_occurrence(prefix, value: int, rels) -> bool:
+    """Would appending `value` create an occurrence ending at the new position?
+
+    `rels` is the output of relations() for a nonempty pattern.  The last
+    pattern slot is pinned to the appended value and the remaining slots are
+    filled by depth-first search over the prefix; this was the enumeration's
+    per-candidate check before the search carried its avoidance state.
+    """
+    k = len(rels)
+    if k == 1:
+        return True
+    last = k - 1
+    want_v = rels[last]  # want_v[t]: required sign(value - entry in slot t)
+    m = len(prefix)
+    if m < last:
+        return False
+    # cheap necessary condition: every slot needs at least one position whose
+    # relation to the appended value matches
+    for t in range(last):
+        r = want_v[t]
+        for x in prefix:
+            if ((value > x) - (value < x)) == r:
+                break
+        else:
+            return False
+    chosen = [0] * last
+
+    def assign(slot: int, start: int) -> bool:
+        rv = want_v[slot]
+        want = rels[slot]
+        for pos in range(start, m - (last - slot) + 1):
+            x = prefix[pos]
+            if ((value > x) - (value < x)) != rv:
+                continue
+            ok = True
+            for t in range(slot):
+                c = chosen[t]
+                if ((x > c) - (x < c)) != want[t]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if slot == last - 1:
+                return True
+            chosen[slot] = x
+            if assign(slot + 1, pos + 1):
+                return True
+        return False
+
+    return assign(0, 0)
 
 
 def asc_reference(seq) -> int:

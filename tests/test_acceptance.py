@@ -1,7 +1,7 @@
 """Acceptance suite: every exit criterion at its stated size, exact equality.
 
 One criterion per test, one printed PASS/FAIL line each (visible with -s or
--rA).  All comparisons are exact integer comparisons; the two long-running
+-rA).  All comparisons are exact integer comparisons; the long-running
 criteria carry their stated two-minute single-threaded budgets as assertions.
 """
 
@@ -57,6 +57,17 @@ def test_criterion_1_catalan_counts_for_021_to_length_14():
            f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 
+def test_criterion_1_extended_021_counts_to_length_20():
+    start = time.perf_counter()
+    counts = {n: count_ascent_sequences_avoiding(n, [A021]) for n in range(1, 21)}
+    elapsed = time.perf_counter() - start
+    expected = {n: catalan(n) for n in range(1, 21)}
+    ok = counts == expected and elapsed <= BUDGET_SECONDS
+    report("criterion 1 (extended)", ok,
+           f"#A_n(021) = C_n for n = 1..20; C_20 = {counts[20]}; "
+           f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
+
+
 def test_criterion_2_sibling_patterns_to_length_12():
     bad = []
     for pattern, label in ((P101, "101"), (P0101, "0101")):
@@ -72,6 +83,17 @@ def test_criterion_3_permutation_counts_to_length_12():
            if count_permutations_avoiding(n, [S132]) != catalan(n)]
     report("criterion 3", not bad,
            f"#S_n(132) = C_n for n = 1..12; mismatches: {bad or 'none'}")
+
+
+def test_criterion_3_extended_132_counts_to_length_13():
+    start = time.perf_counter()
+    bad = [n for n in range(1, 14)
+           if count_permutations_avoiding(n, [S132]) != catalan(n)]
+    elapsed = time.perf_counter() - start
+    ok = not bad and elapsed <= BUDGET_SECONDS
+    report("criterion 3 (extended)", ok,
+           f"#S_n(132) = C_n for n = 1..13; mismatches: {bad or 'none'}; "
+           f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 
 def test_criterion_4_equidistribution_to_length_11():

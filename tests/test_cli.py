@@ -104,6 +104,19 @@ class TestCount:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_perm_at_cap_bytes(self, capsys, fmt):
+        code, out, err = run(capsys, "count", "perm", "13", "--avoid", "132",
+                             "--format", fmt)
+        expected = {"plain": "742900\n", "json": "742900\n", "csv": "count\n742900\n"}
+        assert (code, out, err) == (0, expected[fmt], "")
+
+    def test_perm_over_cap_bytes(self, capsys):
+        code, out, err = run(capsys, "count", "perm", "14")
+        assert (code, out) == (2, "")
+        assert err == ("error: length 14 exceeds the enumeration cap 13; "
+                       "pass cap=None (CLI: --max-n-override) to force\n")
+
 
 class TestStats:
     def test_ascent_statistics(self, capsys):
@@ -491,7 +504,7 @@ class TestCapsBeforeWork:
         def fail(*args):
             raise AssertionError("the search ran before the caps were checked")
 
-        monkeypatch.setattr("ascseq.enumeration._completes_occurrence", fail)
+        monkeypatch.setattr("ascseq.enumeration._advance", fail)
 
     @pytest.mark.parametrize("argv", [("verify", "14"), ("distribution", "14")])
     def test_permutation_cap_fails_first(self, capsys, argv):

@@ -1,10 +1,17 @@
 """Generators, exact counting, joint distributions, and the verification harness."""
 
 import itertools
+import math
 
 import pytest
 
-from oracles import brute_avoids, catalan_closed_form, fishburn_dp
+from oracles import (
+    brute_avoids,
+    catalan_closed_form,
+    completes_occurrence,
+    fishburn_dp,
+    relations,
+)
 
 from ascseq import (
     ascent_sequences,
@@ -16,7 +23,24 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from ascseq.enumeration import JointDistribution
+from ascseq.enumeration import (
+    JointDistribution,
+    _advance,
+    _bits,
+    _compile,
+    _PermSearch,
+)
+
+# every word pattern of length <= 3 (each letter 0..max used), and 0101
+WORD_BANK = [w for k in (1, 2, 3) for w in itertools.product(range(k), repeat=k)
+             if set(w) == set(range(max(w) + 1))] + [(0, 1, 0, 1)]
+# every permutation pattern of length <= 3, and three of length 4
+PERM_BANK = [p for k in (1, 2, 3) for p in itertools.permutations(range(1, k + 1))
+             ] + [(1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3, 4)]
+WORD_PAIRS = [((0, 2, 1), (1, 0, 1)), ((0, 1, 0, 1), (0, 0, 0)), ((0, 0), (0, 1, 2)),
+              ((1, 0, 2), (0, 1, 1)), ((0, 1, 0), (1, 2, 0))]
+PERM_PAIRS = [((1, 3, 2), (2, 1, 3)), ((1, 2, 3, 4), (2, 4, 1, 3)),
+              ((2, 1), (1, 3, 2, 4)), ((1, 2, 3), (3, 2, 1))]
 
 
 class TestCatalan:
@@ -135,6 +159,148 @@ class TestPermStreams:
             assert list(permutations_avoiding(n, [(1, 3, 2), (2, 1, 3)])) == expected
 
 
+class TestAvoidanceState:
+    """The state's forbidden mask is exactly the set of values that would
+    complete an occurrence, by the old per-candidate search, on every prefix."""
+
+    @staticmethod
+    def forbidden_masks(patterns, top, next_values, max_len):
+        """(prefix, forbidden mask) for every prefix of up to max_len entries."""
+        search, start = _compile(patterns, top)
+        stack = [((), start)]
+        while stack:
+            prefix, state = stack.pop()
+            yield prefix, state[0]
+            if len(prefix) < max_len:
+                stack += [(prefix + (v,), _advance(search, state, v))
+                          for v in next_values(prefix)]
+
+    def check(self, patterns, top, next_values):
+        rels = [relations(p) for p in patterns]
+        seen = 0
+        for prefix, forbidden in self.forbidden_masks(patterns, top, next_values, 7):
+            expected = {v for v in range(top)
+                        if any(completes_occurrence(prefix, v, r) for r in rels)}
+            assert set(_bits(forbidden)) == expected, (patterns, prefix)
+            seen += 1
+        return seen
+
+    @staticmethod
+    def ascent_values(prefix):
+        if not prefix:
+            return [0]
+        ascents = sum(a < b for a, b in zip(prefix, prefix[1:]))
+        return range(ascents + 2)
+
+    @staticmethod
+    def perm_values(prefix):
+        return [v for v in range(1, 8) if v not in prefix]
+
+    @pytest.mark.parametrize("pattern", WORD_BANK, ids=map(str, WORD_BANK))
+    def test_ascent_prefixes(self, pattern):
+        # 1 + 1 + 2 + 5 + 15 + 53 + 217 + 1014 ascent sequences of length <= 7
+        assert self.check([pattern], 8, self.ascent_values) == 1308
+
+    @pytest.mark.parametrize("pair", WORD_PAIRS, ids=map(str, WORD_PAIRS))
+    def test_ascent_prefixes_two_patterns(self, pair):
+        assert self.check(pair, 8, self.ascent_values) == 1308
+
+    @pytest.mark.parametrize("pattern", PERM_BANK, ids=map(str, PERM_BANK))
+    def test_perm_prefixes(self, pattern):
+        # every sequence of distinct values from 1..7, of length <= 7
+        assert self.check([pattern], 8, self.perm_values) == 13700
+
+    @pytest.mark.parametrize("pair", PERM_PAIRS, ids=map(str, PERM_PAIRS))
+    def test_perm_prefixes_two_patterns(self, pair):
+        assert self.check(pair, 8, self.perm_values) == 13700
+
+
+class TestCountsEqualListings:
+    @pytest.mark.parametrize("pattern", WORD_BANK, ids=map(str, WORD_BANK))
+    def test_ascent_bank(self, pattern):
+        for n in range(0, 9):
+            expected = [x for x in ascent_sequences(n) if brute_avoids(x, pattern)]
+            assert list(ascent_sequences_avoiding(n, [pattern])) == expected
+            assert count_ascent_sequences_avoiding(n, [pattern]) == len(expected)
+
+    @pytest.mark.parametrize("pattern", PERM_BANK, ids=map(str, PERM_BANK))
+    def test_perm_bank(self, pattern):
+        for n in range(0, 9):
+            expected = [p for p in itertools.permutations(range(1, n + 1))
+                        if brute_avoids(p, pattern)]
+            assert list(permutations_avoiding(n, [pattern])) == expected
+            assert count_permutations_avoiding(n, [pattern]) == len(expected)
+
+    def test_two_patterns(self):
+        for n in range(0, 9):
+            for pair in WORD_PAIRS:
+                assert count_ascent_sequences_avoiding(n, pair) == \
+                    sum(1 for _ in ascent_sequences_avoiding(n, pair))
+            for pair in PERM_PAIRS:
+                assert count_permutations_avoiding(n, pair) == \
+                    sum(1 for _ in permutations_avoiding(n, pair))
+
+    def test_catalan_families_against_stream(self):
+        for n in range(0, 13):
+            assert count_ascent_sequences_avoiding(n, [(0, 2, 1)]) == \
+                sum(1 for _ in ascent_sequences_avoiding(n, [(0, 2, 1)]))
+        for n in range(0, 11):
+            assert count_permutations_avoiding(n, [(1, 3, 2)]) == \
+                sum(1 for _ in permutations_avoiding(n, [(1, 3, 2)]))
+
+    def test_empty_and_single_letter_patterns(self):
+        for n in range(0, 4):
+            assert count_ascent_sequences_avoiding(n, [()]) == 0
+            assert count_permutations_avoiding(n, [()]) == 0
+            assert count_ascent_sequences_avoiding(n, [(0,)]) == (n == 0)
+            assert count_permutations_avoiding(n, [(1,)]) == (n == 0)
+            assert count_ascent_sequences_avoiding(n, [(0, 2, 1), ()]) == 0
+
+    def test_length_zero(self):
+        assert count_ascent_sequences_avoiding(0) == count_permutations_avoiding(0) == 1
+        assert count_ascent_sequences_avoiding(0, [(0, 2, 1)]) == 1
+        assert count_permutations_avoiding(0, [(1, 3, 2)]) == 1
+
+    def test_no_pattern(self):
+        for n in range(0, 11):
+            assert count_ascent_sequences_avoiding(n) == fishburn_dp(n)
+        for n in range(0, 9):
+            assert count_permutations_avoiding(n) == math.factorial(n)
+
+
+class TestDeadEndPruning:
+    """A permutation prefix is dropped once an unused value is forbidden."""
+
+    @staticmethod
+    def reached(n, pattern):
+        """Every prefix the permutation search keeps, leaves included."""
+        tree = _PermSearch(n, *_compile([pattern], n + 1))
+        kept, stack = set(), [tree.root]
+        while stack:
+            node = stack.pop()
+            kept.add(node[0])
+            if len(node[0]) == n - 1:
+                kept.update(node[0] + (v,) for v in _bits(tree.leaves(node)))
+            else:
+                stack += tree.children(node)
+        return kept
+
+    @staticmethod
+    def completable(n, pattern):
+        """Every prefix of an avoiding permutation, by brute force."""
+        return {p[:length] for p in itertools.permutations(range(1, n + 1))
+                if brute_avoids(p, pattern) for length in range(n + 1)}
+
+    def test_132_keeps_exactly_the_completable_prefixes(self):
+        for n in range(1, 8):
+            assert self.reached(n, (1, 3, 2)) == self.completable(n, (1, 3, 2))
+
+    @pytest.mark.parametrize("pattern", [(1, 2, 3, 4), (2, 4, 1, 3)])
+    def test_never_drops_a_completable_prefix(self, pattern):
+        for n in range(1, 8):
+            assert self.completable(n, pattern) <= self.reached(n, pattern)
+
+
 class TestCaps:
     def test_ascent_cap(self):
         with pytest.raises(ValueError):
@@ -160,7 +326,7 @@ class TestCaps:
         def no_search(*args):
             raise AssertionError("the search ran before the caps were checked")
 
-        monkeypatch.setattr("ascseq.enumeration._completes_occurrence", no_search)
+        monkeypatch.setattr("ascseq.enumeration._advance", no_search)
         with pytest.raises(ValueError, match="exceeds the enumeration cap 13"):
             verify_equidistribution(14)
 
