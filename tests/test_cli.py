@@ -491,6 +491,16 @@ class TestVerify:
                        f'"{failure}","n":2,"passed":false,"total":2}}],'
                        '"verdict":"fail"}\n')
 
+    def test_collision_line(self, capsys, monkeypatch):
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: real((0, 0, 1) if x == (0, 1, 1) else x))
+        code, out, _ = run(capsys, "verify", "3")
+        assert code == 1
+        assert out == ("n=1 pass (1 per family)\nn=2 pass (2 per family)\n"
+                       "n=3 FAIL: collision: image 2 1 3 is hit twice\nverdict fail\n")
+
     def test_zero_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "0")
         assert code == 2

@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from ascseq import (
+    ValidationError,
     ascent_sequences,
     ascent_sequences_avoiding,
     catalan,
@@ -62,6 +63,8 @@ class TestCatalan:
 class TestAscentSequences:
     def test_length_zero(self):
         assert list(ascent_sequences(0)) == [()]
+        assert list(ascent_sequences_avoiding(0)) == [()]
+        assert count_ascent_sequences_avoiding(0) == 1
 
     def test_length_three(self):
         assert list(ascent_sequences(3)) == [
@@ -107,6 +110,8 @@ class TestAvoidingStreams:
     def test_empty_pattern_forbids_everything(self):
         assert list(ascent_sequences_avoiding(0, [()])) == []
         assert list(ascent_sequences_avoiding(3, [()])) == []
+        assert count_ascent_sequences_avoiding(0, [()]) == 0
+        assert count_ascent_sequences_avoiding(3, [()]) == 0
 
     def test_single_letter_pattern(self):
         assert list(ascent_sequences_avoiding(0, [(0,)])) == [()]
@@ -128,6 +133,7 @@ class TestPermStreams:
 
     def test_length_zero(self):
         assert list(permutations_avoiding(0)) == [()]
+        assert count_permutations_avoiding(0) == 1
 
     def test_stream_equals_brute_filter(self):
         patterns = [(1, 3, 2), (2, 1, 3), (1, 2), (2, 1), (1, 2, 3, 4)]
@@ -147,6 +153,8 @@ class TestPermStreams:
     def test_empty_pattern_forbids_everything(self):
         assert list(permutations_avoiding(0, [()])) == []
         assert list(permutations_avoiding(3, [()])) == []
+        assert count_permutations_avoiding(0, [()]) == 0
+        assert count_permutations_avoiding(3, [()]) == 0
 
     def test_single_entry_pattern(self):
         assert list(permutations_avoiding(0, [(1,)])) == [()]
@@ -302,15 +310,28 @@ class TestDeadEndPruning:
 
 
 class TestCaps:
+    # every error raises at the call itself, before any object is asked for
     def test_ascent_cap(self):
         with pytest.raises(ValueError):
             ascent_sequences(21)
+        with pytest.raises(ValueError):
+            ascent_sequences_avoiding(21, [(0, 2, 1)])
         with pytest.raises(ValueError):
             count_ascent_sequences_avoiding(21, [(0, 2, 1)])
 
     def test_perm_cap(self):
         with pytest.raises(ValueError):
             permutations_avoiding(14, [(1, 3, 2)])
+        with pytest.raises(ValueError):
+            count_permutations_avoiding(14, [(1, 3, 2)])
+
+    def test_bad_pattern(self):
+        for entry in (ascent_sequences_avoiding, count_ascent_sequences_avoiding):
+            with pytest.raises(ValidationError, match="never uses letter 1"):
+                entry(3, [(0, 2)])
+        for entry in (permutations_avoiding, count_permutations_avoiding):
+            with pytest.raises(ValidationError):
+                entry(3, [(1, 3)])
 
     def test_cap_override(self):
         # lifting the cap must not raise; (0,0)-avoiders stay tiny at any length
@@ -392,4 +413,15 @@ class TestVerifyEquidistribution:
 
         monkeypatch.setattr(enumeration, "_to_permutation", tilted)
         report = verify_equidistribution(2)
+        assert not report.passed
+
+    def test_collision_is_reported(self, monkeypatch):
+        # 0 1 1 and 0 0 1 both have (asc, rlm) = (1, 2): only the collision
+        # check can catch a map that sends them to one permutation
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: real((0, 0, 1) if x == (0, 1, 1) else x))
+        report = verify_equidistribution(3)
+        assert report.failure == "collision: image 2 1 3 is hit twice"
         assert not report.passed
