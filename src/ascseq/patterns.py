@@ -7,7 +7,9 @@ equal sequence entries.  Permutation patterns relate distinct entries, where
 the equality constraints are vacuous, so one engine serves both.
 
 The engine is a depth-first search over index tuples, pruned by checking each
-candidate position against all previously chosen ones; it lists occurrences
+candidate position against all previously chosen ones.  It keeps one
+iterator of candidate positions per placed letter on an explicit stack, so
+patterns of any length run without recursion.  It lists occurrences
 (`occurrences_*`, `iter_occurrences_*`).  The yes/no questions (`avoids_*`,
 `require_avoids_*`) need only the first occurrence.  For 021 on words and 132
 on permutations, whose pairwise relations are identical (positions i < j < k
@@ -81,38 +83,38 @@ def _relations(pattern: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def _iter_occurrences(seq: Sequence[int],
                       pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """DFS over index tuples; yields 1-based positions in lexicographic order."""
+    """DFS over index tuples; yields 1-based positions in lexicographic order.
+
+    stack[slot] iterates over the positions left to try for letter `slot`.
+    """
     k = len(pattern)
     if k == 0:
         yield ()
         return
     n = len(seq)
-    if n < k:
-        return
     rels = _relations(pattern)
     chosen = [0] * k
     taken = [0] * k
-
-    def extend(slot: int, start: int) -> Iterator[tuple[int, ...]]:
+    stack = [iter(range(n - k + 1))]
+    while stack:
+        slot = len(stack) - 1
         want = rels[slot]
-        for pos in range(start, n - (k - slot) + 1):
+        for pos in stack[-1]:
             x = seq[pos]
-            ok = True
             for t in range(slot):
                 c = chosen[t]
                 if ((x > c) - (x < c)) != want[t]:
-                    ok = False
                     break
-            if not ok:
-                continue
-            chosen[slot] = x
-            taken[slot] = pos
-            if slot + 1 == k:
-                yield tuple(q + 1 for q in taken)
-            else:
-                yield from extend(slot + 1, pos + 1)
-
-    yield from extend(0, 0)
+            else:  # x stands to every chosen entry as the letters do
+                chosen[slot] = x
+                taken[slot] = pos
+                if slot + 1 == k:
+                    yield tuple(q + 1 for q in taken)
+                else:
+                    stack.append(iter(range(pos + 1, n - k + slot + 2)))
+                    break
+        else:
+            stack.pop()
 
 
 _RELATIONS_021 = _relations(PATTERN_021)  # those of PATTERN_132 too
@@ -164,7 +166,7 @@ def _first_occurrence(seq: Sequence[int],
                       pattern: Sequence[int]) -> tuple[int, ...] | None:
     """The lexicographically first occurrence, or None: the one place that
     picks the O(n) scan for 021/132 over the general search."""
-    if _relations(pattern) == _RELATIONS_021:
+    if len(pattern) == 3 and _relations(pattern) == _RELATIONS_021:
         return _first_021(seq)
     return next(_iter_occurrences(seq, pattern), None)
 

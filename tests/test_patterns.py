@@ -161,6 +161,24 @@ class TestFirst021:
         assert _first_021(stair + (1,)) == (1, 3, 5001)
 
 
+class TestLongPatterns:
+    """The search places one letter per stack entry, never per call frame."""
+
+    LENGTH = 2500  # past the default recursion limit
+
+    def test_avoids_word(self):
+        zeros = (0,) * self.LENGTH
+        assert avoids_word(zeros, zeros) is False
+
+    def test_occurrences_word(self):
+        zeros = (0,) * self.LENGTH
+        assert occurrences_word(zeros, zeros) == [tuple(range(1, self.LENGTH + 1))]
+
+    def test_avoids_perm(self):
+        identity = tuple(range(1, self.LENGTH + 1))
+        assert avoids_perm(identity, identity) is False
+
+
 class TestWordPatternValidation:
     def test_all_letters_must_appear(self):
         with pytest.raises(ValidationError):
