@@ -37,10 +37,13 @@ and writes every output entry once, so no input length can exhaust the
 recursion limit.  `_to_permutation` finds each part's special maximum by
 bisection in O(log n) and `_to_ascent` finds each part's maximum in O(1), so
 the maps take O(n log n) and O(n); the domain checks are O(n) too.  The
-literal recursion over `split_*`/`join_*` is the test suite's reference.
+maps do not call `split_*`/`join_*`; the literal recursion over them is the
+test suite's reference.
 
 Every public entry point checks its input's domain through `_checked_ascent`
-or `_checked_perm`, the one place each family's domain is decided.
+or `_checked_perm`, the one place each family's domain is decided, and then
+does its one step in its own body; a join checks its left part fully before
+its right part.
 """
 
 from __future__ import annotations
@@ -103,10 +106,6 @@ def split_ascent_sequence(seq: Iterable[int]) -> AscentSplit:
     x = _checked_ascent(seq)
     if not x:
         raise ValidationError("cannot split an empty ascent sequence")
-    return _split_ascent(x)
-
-
-def _split_ascent(x: tuple[int, ...]) -> AscentSplit:
     info = _special_run(x)
     if info.value == 0:
         return AscentSplit((), x[:-1])
@@ -131,10 +130,7 @@ def join_ascent_sequence(split: AscentSplit) -> tuple[int, ...]:
     >>> join_ascent_sequence(AscentSplit((0, 1, 0, 1), (0, 0, 1, 0, 2)))
     (0, 1, 0, 1, 3, 0, 0, 3, 0, 4)
     """
-    return _join_ascent(_checked_ascent(split.left), _checked_ascent(split.right))
-
-
-def _join_ascent(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    left, right = _checked_ascent(split.left), _checked_ascent(split.right)
     if not left:
         info = _special_run(right)
         if info.value == 0:
@@ -156,10 +152,6 @@ def split_permutation(perm: Iterable[int]) -> PermSplit:
     p = _checked_perm(perm)
     if not p:
         raise ValidationError("cannot split an empty permutation")
-    return _split_perm(p)
-
-
-def _split_perm(p: tuple[int, ...]) -> PermSplit:
     i = p.index(len(p))
     # avoiding 132: the right factor holds 1..len(p)-1-i, the left one lies above
     return PermSplit(tuple(v - (len(p) - 1 - i) for v in p[:i]), p[i + 1:])
@@ -172,10 +164,7 @@ def join_permutation(split: PermSplit) -> tuple[int, ...]:
     >>> join_permutation(PermSplit((1,), (1,)))
     (2, 3, 1)
     """
-    return _join_perm(_checked_perm(split.left), _checked_perm(split.right))
-
-
-def _join_perm(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    left, right = _checked_perm(split.left), _checked_perm(split.right)
     b = len(right)
     return tuple(v + b for v in left) + (len(left) + b + 1,) + right
 
