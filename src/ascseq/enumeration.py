@@ -21,6 +21,12 @@ below it, which is all the rest of the search can see.  So a count does not
 list its objects; the test suite checks counts against listings
 exhaustively at small n.
 
+All four entry points share one front end, `_search`: it validates the
+patterns and checks the length cap at the call, then hands the tree and the
+nodes to start from to `_walk` (a lazy stream) or `_tally` (a count).  At
+n = 0 the root itself is the one object; the empty pattern, which occurs in
+everything, leaves no node to start from.
+
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
 are capped by default (20 for ascent sequences, 13 for permutations) purely
 as a guard against runaway jobs; pass cap=None to lift.
@@ -86,12 +92,12 @@ def _check_length(n: int, cap: int | None) -> None:
 
 
 def _compile(patterns: Sequence[Sequence[int]], top: int):
-    """The transition table for nonempty patterns over values below `top`,
-    and the state of the empty prefix."""
+    """The transition table for the patterns over values below `top`, and
+    the state of the empty prefix."""
     plans, levels, forbidden = [], [], 0
     for pattern in patterns:
         k = len(pattern)
-        if k == 1:  # every value completes an occurrence
+        if k <= 1:  # every value completes an occurrence
             forbidden = (1 << top) - 1
             continue
         slots = [_slot(pattern, length) for length in range(k)]
@@ -163,7 +169,7 @@ def _bits(mask: int) -> list[int]:
 
 
 class _AscentSearch:
-    """Ascent sequences of length n >= 1 avoiding the patterns.  Nodes are
+    """Ascent sequences of length n avoiding the patterns.  Nodes are
     (prefix, state, ascents, last entry); the root's -1s admit only 0."""
 
     def __init__(self, n: int, search, start) -> None:
@@ -193,7 +199,7 @@ class _AscentSearch:
 
 
 class _PermSearch:
-    """Permutations of 1..n, n >= 1, avoiding the patterns.  Nodes are
+    """Permutations of 1..n avoiding the patterns.  Nodes are
     (prefix, state, mask of unused values)."""
 
     def __init__(self, n: int, search, start) -> None:
@@ -230,25 +236,36 @@ class _PermSearch:
         return state * (self.n + 1) + count
 
 
-def _walk(tree) -> Iterator[tuple[int, ...]]:
-    """Every object of the search, in lexicographic order, by an explicit stack."""
+def _search(family: type, validate: Callable, n: int,
+            patterns: Iterable[Iterable[int]], cap: int | None) -> tuple:
+    """The checks every entry point makes, at its call, then its search: the
+    tree and the nodes it starts from (none under the empty pattern)."""
+    checked = [validate(p) for p in patterns]
+    _check_length(n, cap)
+    tree = family(n, *_compile(checked, n + 1))
+    return tree, [] if any(not p for p in checked) else [tree.root]
+
+
+def _walk(tree, stack: list) -> Iterator[tuple[int, ...]]:
+    """Every object below the nodes on the stack, in lexicographic order."""
     last_depth = tree.n - 1
-    stack = [tree.root]
     while stack:
         node = stack.pop()
         prefix = node[0]
         if len(prefix) == last_depth:
             for v in _bits(tree.leaves(node)):
                 yield prefix + (v,)
+        elif len(prefix) > last_depth:  # n = 0: the root is the empty object
+            yield prefix
         else:
             stack += reversed(tree.children(node))
 
 
-def _tally(tree) -> int:
-    """The number of objects of the search: the walk of `_walk`, with the
-    count below each node memoized on its canonical key."""
+def _tally(tree, roots: list) -> int:
+    """The number of objects `_walk` gives from the roots, with the count
+    below each node memoized on its canonical key."""
     last_depth, memo = tree.n - 1, {}
-    stack = [[None, [tree.root], 0]]  # per open node: key, children left, count
+    stack = [[None, roots, 0]]  # per open node: key, children left, count
     while True:
         frame = stack[-1]
         if not frame[1]:
@@ -259,30 +276,17 @@ def _tally(tree) -> int:
             stack[-1][2] += frame[2]
             continue
         node = frame[1].pop()
-        if len(node[0]) == last_depth:
+        depth = len(node[0])
+        if depth == last_depth:
             frame[2] += tree.leaves(node).bit_count()
-            continue
-        key = tree.key(node)
-        if key in memo:
-            frame[2] += memo[key]
+        elif depth > last_depth:  # n = 0: the root is the empty object
+            frame[2] += 1
         else:
-            stack.append([key, tree.children(node), 0])
-
-
-def _iter_objects(family: type, n: int,
-                  patterns: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    if any(len(p) == 0 for p in patterns):
-        return  # the empty pattern occurs in everything, even the empty object
-    if n == 0:
-        yield ()
-        return
-    yield from _walk(family(n, *_compile(patterns, n + 1)))
-
-
-def _count_objects(family: type, n: int, patterns: Sequence[Sequence[int]]) -> int:
-    if any(len(p) == 0 for p in patterns):
-        return 0
-    return 1 if n == 0 else _tally(family(n, *_compile(patterns, n + 1)))
+            key = tree.key(node)
+            if key in memo:
+                frame[2] += memo[key]
+            else:
+                stack.append([key, tree.children(node), 0])
 
 
 def ascent_sequences(n: int, *, cap: int | None = ASCENT_CAP) -> Iterator[tuple[int, ...]]:
@@ -299,9 +303,7 @@ def ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(ascent_sequences_avoiding(3, [(0, 2, 1)]))
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
-    checked = [validate_word_pattern(p) for p in patterns]
-    _check_length(n, cap)
-    return _iter_objects(_AscentSearch, n, checked)
+    return _walk(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap))
 
 
 def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -313,9 +315,7 @@ def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(permutations_avoiding(3, [(1, 3, 2)]))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    checked = [validate_permutation(p) for p in patterns]
-    _check_length(n, cap)
-    return _iter_objects(_PermSearch, n, checked)
+    return _walk(*_search(_PermSearch, validate_permutation, n, patterns, cap))
 
 
 def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -326,9 +326,7 @@ def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = 
     >>> count_ascent_sequences_avoiding(14, [(0, 2, 1)]) == catalan(14)
     True
     """
-    checked = [validate_word_pattern(p) for p in patterns]
-    _check_length(n, cap)
-    return _count_objects(_AscentSearch, n, checked)
+    return _tally(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap))
 
 
 def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -340,9 +338,7 @@ def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> count_permutations_avoiding(13, [(1, 3, 2)]) == catalan(13)
     True
     """
-    checked = [validate_permutation(p) for p in patterns]
-    _check_length(n, cap)
-    return _count_objects(_PermSearch, n, checked)
+    return _tally(*_search(_PermSearch, validate_permutation, n, patterns, cap))
 
 
 @dataclass(frozen=True)
@@ -412,9 +408,10 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     # both streams check their length cap when created: fail before listing either
     sequence_stream = ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap)
     perm_stream = permutations_avoiding(n, (PATTERN_132,), cap=perm_cap)
-    sequences, perms = list(sequence_stream), list(perm_stream)
+    sequences = list(sequence_stream)
+    hit = dict.fromkeys(perm_stream, False)  # S_n(132): has the map reached it yet?
     table_a = joint_distribution(sequences)
-    table_p = joint_distribution(perms)
+    table_p = joint_distribution(hit)
     diff = table_a.difference(table_p)
     cat = catalan(n)
 
@@ -428,11 +425,9 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
         failure = (f"totals {table_a.total} and {table_p.total} "
                    f"do not both equal catalan({n}) = {cat}")
     else:
-        perm_set = set(perms)
-        image_seen: set[tuple[int, ...]] = set()
         for x in sequences:
             image = _to_permutation(x)
-            if image not in perm_set:
+            if image not in hit:
                 failure = (f"{format_seq(x)} maps to {format_seq(image)}, "
                            f"not a 132-avoiding permutation of length {n}")
                 break
@@ -440,10 +435,10 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
                 failure = (f"statistics change across the map on {format_seq(x)}: "
                            f"({asc(x)}, {rlm(x)}) -> ({asc(image)}, {rlm(image)})")
                 break
-            if image in image_seen:
+            if hit[image]:
                 failure = f"collision: image {format_seq(image)} is hit twice"
                 break
-            image_seen.add(image)
+            hit[image] = True
             if _to_ascent(image) != x:
                 failure = f"round trip fails on {format_seq(x)}"
                 break
