@@ -34,13 +34,12 @@ as a guard against runaway jobs; pass cap=None to lift.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
 from .core import format_seq, validate_permutation
-from .patterns import PATTERN_021, PATTERN_132, validate_word_pattern
+from .patterns import PATTERN_021, PATTERN_132, _neighbours, validate_word_pattern
 from .stats import asc, rlm
 
 ASCENT_CAP = 20  # ~6.6e9 021-avoiders at n = 20: past desk scale
@@ -85,10 +84,10 @@ def _check_length(n: int, cap: int | None) -> None:
 # A state is (forbidden, levels).  `forbidden` is the bitmask of next values
 # that would complete an occurrence.  Each level holds the realisations of
 # one pattern prefix pattern[:l], 0 <= l < k - 1, as (lo, hi, values)
-# entries: `values` are the tuple's distinct values by increasing pattern
-# letter (which fixes the tuple), and the tuple extends by letter pattern[l]
-# exactly to the v with lo < v < hi.  An equal letter gives hi = lo + 2.
-# `top` bounds every value and stands for "no bound above".
+# entries: `values` are the tuple's entries by pattern position, and the
+# tuple extends by letter pattern[l] exactly to the v with lo < v < hi, the
+# bounds `patterns._neighbours` points to.  An equal letter gives
+# hi = lo + 2.  `top` bounds every value and stands for "no bound above".
 
 
 def _compile(patterns: Sequence[Sequence[int]], top: int):
@@ -100,22 +99,14 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
         if k <= 1:  # every value completes an occurrence
             forbidden = (1 << top) - 1
             continue
-        slots = [_slot(pattern, length) for length in range(k)]
+        neighbours = _neighbours(pattern)
         first = len(levels)
         for length in range(k - 1):
             target = first + length + 1 if length + 2 < k else -1  # -1: forbidden
-            plans.append((*slots[length], target, *slots[length + 1]))
+            plans.append((*neighbours[length + 1], target))
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
     return (tuple(plans), top), (forbidden, tuple(levels))
-
-
-def _slot(pattern: Sequence[int], length: int) -> tuple[int, bool]:
-    """Where letter pattern[length] falls among the distinct letters before
-    it: their index, and whether the letter there is equal."""
-    letters = sorted(set(pattern[:length]))
-    j = bisect_left(letters, pattern[length])
-    return j, j < len(letters) and letters[j] == pattern[length]
 
 
 def _advance(search, state, v: int):
@@ -129,18 +120,17 @@ def _advance(search, state, v: int):
     forbidden, levels = state
     grown: dict[int, set] = {}
     for q, entries in enumerate(levels):
-        j, equal, target, child_j, child_equal = plans[q]
+        below, above, target = plans[q]
         for lo, hi, values in entries:
             if not lo < v < hi:
                 continue
-            if not equal:
-                values = values[:j] + (v,) + values[j:]
-            if child_equal:
-                lo = values[child_j] - 1
+            values += (v,)
+            if below == above:
+                lo = values[below] - 1
                 hi = lo + 2
             else:
-                lo = values[child_j - 1] if child_j else -1
-                hi = values[child_j] if child_j < len(values) else top
+                lo = values[below] if below >= 0 else -1
+                hi = values[above] if above >= 0 else top
                 if hi - lo < 2:
                     continue
             if target < 0:

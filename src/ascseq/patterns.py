@@ -6,22 +6,28 @@ between every pair of positions must match, so equal pattern letters require
 equal sequence entries.  Permutation patterns relate distinct entries, where
 the equality constraints are vacuous, so one engine serves both.
 
-The engine is a depth-first search over index tuples, pruned by checking each
-candidate position against all previously chosen ones.  It keeps one
-iterator of candidate positions per placed letter on an explicit stack, so
-patterns of any length run without recursion.  It lists occurrences
+A pattern's shape is read from one table, `_neighbours`: for each letter, the
+nearest earlier letters below and above it, or an earlier equal letter.  The
+avoidance automaton in `enumeration` reads the same table.  The engine here
+is a depth-first search over index tuples that places one letter at a time
+and tests each candidate entry against the two entries at those positions
+only, in O(1).  It keeps one iterator of candidate positions per placed
+letter on an explicit stack, so patterns of any length run without recursion
+and in memory linear in the pattern's length.  It lists occurrences
 (`occurrences_*`, `iter_occurrences_*`).  The yes/no questions (`avoids_*`,
 `require_avoids_*`) need only the first occurrence.  For 021 on words and 132
-on permutations, whose pairwise relations are identical (positions i < j < k
-with x_i < x_k < x_j), `_first_021` finds it in O(n); every other pattern
-takes the search's first hit.  The two agree position for position, which
-the test suite checks exhaustively at small lengths.  A 021-avoiding ascent
-sequence is also one whose nonzero entries weakly increase
+on permutations, which have one shape (positions i < j < k with
+x_i < x_k < x_j), `_first_021` finds it in O(n); every other pattern takes
+the search's first hit.  The two agree position for position, which the test
+suite checks exhaustively at small lengths.  A 021-avoiding ascent sequence
+is also one whose nonzero entries weakly increase
 (`nonzero_weakly_increasing`, the Duncan-Steingrimsson characterization).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .core import ValidationError, validate_permutation
@@ -73,51 +79,65 @@ def pattern_text(pattern: Sequence[int]) -> str:
     return " ".join(str(v) for v in pattern) if pattern else "ε"
 
 
-def _relations(pattern: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """rels[j][t] = sign(pattern[j] - pattern[t]) for t < j."""
-    return tuple(
-        tuple((pattern[j] > pattern[t]) - (pattern[j] < pattern[t])
-              for t in range(j))
-        for j in range(len(pattern)))
+def _neighbours(pattern: Sequence[int]) -> list[tuple[int, int]]:
+    """The shape of a pattern, letter by letter: for each letter, the
+    positions (below, above) of the nearest earlier letters below and above
+    it, -1 where there is none, or (e, e) for an earlier equal letter at e.
+    The first letter has no earlier letters, (-1, -1), and is never looked up.
+
+    A value stands to entries matching the earlier letters as the letter
+    stands to those letters iff it lies strictly between the entries at
+    below and above (-1 imposing no bound), or equals the entry at e: every
+    other earlier letter lies beyond one of those two, and so does its entry.
+
+    >>> _neighbours((1, 0, 2, 0))
+    [(-1, -1), (-1, 0), (0, -1), (1, 1)]
+    """
+    letters, where, table = [-inf, inf], {-inf: -1, inf: -1}, []
+    for j, letter in enumerate(pattern):
+        i = bisect_left(letters, letter)
+        if letters[i] == letter:
+            table.append((where[letter],) * 2)
+        else:
+            table.append((where[letters[i - 1]], where[letters[i]]))
+            letters.insert(i, letter)
+            where[letter] = j
+    return table
 
 
 def _iter_occurrences(seq: Sequence[int],
                       pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """DFS over index tuples; yields 1-based positions in lexicographic order.
 
-    stack[slot] iterates over the positions left to try for letter `slot`.
+    stack[slot] holds the positions left to try for letter `slot` and the
+    bounds (lo, hi) its entry must meet, read through `_neighbours` off the
+    entries already taken: lo < x < hi, or x == lo == hi for an equal letter.
     """
     k = len(pattern)
     if k == 0:
         yield ()
         return
     n = len(seq)
-    rels = _relations(pattern)
-    chosen = [0] * k
+    neighbours = _neighbours(pattern)
     taken = [0] * k
-    stack = [iter(range(n - k + 1))]
+    stack = [(iter(range(n - k + 1)), -inf, inf)]
     while stack:
         slot = len(stack) - 1
-        want = rels[slot]
-        for pos in stack[-1]:
+        positions, lo, hi = stack[-1]
+        for pos in positions:
             x = seq[pos]
-            for t in range(slot):
-                c = chosen[t]
-                if ((x > c) - (x < c)) != want[t]:
-                    break
-            else:  # x stands to every chosen entry as the letters do
-                chosen[slot] = x
+            if lo < x < hi or lo == x == hi:
                 taken[slot] = pos
                 if slot + 1 == k:
                     yield tuple(q + 1 for q in taken)
                 else:
-                    stack.append(iter(range(pos + 1, n - k + slot + 2)))
+                    below, above = neighbours[slot + 1]
+                    stack.append((iter(range(pos + 1, n - k + slot + 2)),
+                                  seq[taken[below]] if below >= 0 else -inf,
+                                  seq[taken[above]] if above >= 0 else inf))
                     break
         else:
             stack.pop()
-
-
-_RELATIONS_021 = _relations(PATTERN_021)  # those of PATTERN_132 too
 
 
 def _first_021(seq: Sequence[int]) -> tuple[int, int, int] | None:
@@ -166,7 +186,7 @@ def _first_occurrence(seq: Sequence[int],
                       pattern: Sequence[int]) -> tuple[int, ...] | None:
     """The lexicographically first occurrence, or None: the one place that
     picks the O(n) scan for 021/132 over the general search."""
-    if len(pattern) == 3 and _relations(pattern) == _RELATIONS_021:
+    if len(pattern) == 3 and pattern[0] < pattern[2] < pattern[1]:
         return _first_021(seq)
     return next(_iter_occurrences(seq, pattern), None)
 

@@ -32,12 +32,16 @@ from ascseq.enumeration import (
     _PermSearch,
 )
 
-# every word pattern of length <= 3 (each letter 0..max used), and 0101
+# every word pattern of length <= 3 (each letter 0..max used), 0101, and two
+# whose equal letters are not adjacent
 WORD_BANK = [w for k in (1, 2, 3) for w in itertools.product(range(k), repeat=k)
-             if set(w) == set(range(max(w) + 1))] + [(0, 1, 0, 1)]
-# every permutation pattern of length <= 3, and three of length 4
+             if set(w) == set(range(max(w) + 1))
+             ] + [(0, 1, 0, 1), (1, 0, 2, 0), (0, 1, 2, 0, 1)]
+# every permutation pattern of length <= 3, three of length 4, and two whose
+# nearest earlier neighbours are not the previous letter
 PERM_BANK = [p for k in (1, 2, 3) for p in itertools.permutations(range(1, k + 1))
-             ] + [(1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3, 4)]
+             ] + [(1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3, 4), (3, 1, 4, 2),
+                  (2, 5, 3, 1, 4)]
 WORD_PAIRS = [((0, 2, 1), (1, 0, 1)), ((0, 1, 0, 1), (0, 0, 0)), ((0, 0), (0, 1, 2)),
               ((1, 0, 2), (0, 1, 1)), ((0, 1, 0), (1, 2, 0))]
 PERM_PAIRS = [((1, 3, 2), (2, 1, 3)), ((1, 2, 3, 4), (2, 4, 1, 3)),

@@ -1,9 +1,11 @@
 """The occurrence engine against brute force, and the 021 characterization."""
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_avoids, brute_occurrences, iter_brute_occurrences
@@ -22,10 +24,13 @@ from ascseq import (
 )
 from ascseq.patterns import _first_021, require_avoids_perm, require_avoids_word
 
+# the longer ones have nearest earlier neighbours away from the previous
+# letter, and equal letters that are not adjacent
 WORD_PATTERNS = [(0,), (0, 0), (0, 1), (1, 0), (0, 2, 1), (1, 0, 1),
-                 (0, 0, 1), (0, 1, 0, 1), (2, 1, 0), (0, 1, 2)]
+                 (0, 0, 1), (0, 1, 0, 1), (2, 1, 0), (0, 1, 2),
+                 (1, 0, 2, 0), (0, 1, 2, 0, 1)]
 PERM_PATTERNS = [(1,), (1, 2), (2, 1), (1, 3, 2), (2, 3, 1), (1, 2, 3, 4),
-                 (2, 4, 3, 1)]
+                 (2, 4, 3, 1), (3, 1, 4, 2), (2, 5, 3, 1, 4)]
 
 
 class TestWordOccurrences:
@@ -162,7 +167,9 @@ class TestFirst021:
 
 
 class TestLongPatterns:
-    """The search places one letter per stack entry, never per call frame."""
+    """The search places one letter per stack entry, never per call frame,
+    and keeps two neighbour positions per letter, so its memory is linear in
+    the pattern length."""
 
     LENGTH = 2500  # past the default recursion limit
 
@@ -177,6 +184,49 @@ class TestLongPatterns:
     def test_avoids_perm(self):
         identity = tuple(range(1, self.LENGTH + 1))
         assert avoids_perm(identity, identity) is False
+
+    @staticmethod
+    def check_embedded(pattern, extra, occurrences, avoids):
+        """The pattern behind `extra` decreasing entries above all of it.
+
+        With pattern[0] <= pattern[1] no occurrence starts at an extra entry
+        (nothing later is above or equal to it), so the only occurrence is
+        the embedded copy and the search walks straight down it.  Inputs
+        that make it backtrack far (near misses) are not what this checks.
+        """
+        top = max(pattern)
+        seq = tuple(range(top + extra, top, -1)) + tuple(pattern)
+        tracemalloc.start()
+        try:
+            found, avoided = occurrences(seq, pattern), avoids(seq, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [tuple(range(extra + 1, extra + len(pattern) + 1))]
+        assert avoided is False
+        assert peak < 5_000_000  # bytes
+
+    # a seed, not st.randoms(): drawing 5,000 values through hypothesis
+    # fails its large-example health check
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(5000, 5500), st.integers(0, 100),
+           st.integers(1, 5500))
+    @example(0, 5000, 0, 1)  # occurrences_word(0^5000, 0^5000)
+    def test_random_word_pattern(self, seed, length, extra, letters):
+        rng = random.Random(seed)
+        word = [rng.randrange(letters) for _ in range(length)]
+        rank = {v: r for r, v in enumerate(sorted(set(word)))}
+        pattern = [rank[v] for v in word]
+        pattern[:2] = sorted(pattern[:2])
+        self.check_embedded(pattern, extra, occurrences_word, avoids_word)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(5000, 5500), st.integers(0, 100))
+    def test_random_perm_pattern(self, seed, length, extra):
+        pattern = list(range(1, length + 1))
+        random.Random(seed).shuffle(pattern)
+        pattern[:2] = sorted(pattern[:2])
+        self.check_embedded(pattern, extra, occurrences_perm, avoids_perm)
 
 
 class TestWordPatternValidation:
