@@ -17,14 +17,20 @@ duplicates.  Counts run the same transition over the same tree, but memoize
 the number of objects below each node on a canonical key: (depth, ascents,
 last entry, state) for ascent sequences, and (entries left, state) for
 permutations, with each used value replaced by the number of unused values
-below it, which is all the rest of the search can see.  So a count does not
-list its objects; the test suite checks counts against listings
-exhaustively at small n.
+below it, which is all the rest of the search can see.  Before a count keys
+a node, it cuts the node's state to its front (`_front`): a realised tuple
+that bounds every letter still to come at least as tightly as another one
+can never forbid a value the other does not, so it is dropped.  For 021 and
+132 the front keeps one realised first letter, and the counts reach n = 30
+in well under a second.  Streams visit each node once, have no memo to gain
+from, and keep the full state.  So a count does not list its objects; the
+test suite checks counts against listings exhaustively at small n.
 
 All four entry points share one front end, `_search`: it validates the
-patterns and checks the length cap at the call, then hands the tree and the
-nodes to start from to `_walk` (a lazy stream) or `_tally` (a count).  At
-n = 0 the root itself is the one object; the empty pattern, which occurs in
+patterns and checks the length cap at the call, leaves out the patterns
+longer than n, which cannot occur, then hands the tree and the nodes to
+start from to `_walk` (a lazy stream) or `_tally` (a count).  At n = 0 the
+root itself is the one object; the empty pattern, which occurs in
 everything, leaves no node to start from.
 
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
@@ -35,6 +41,7 @@ as a guard against runaway jobs; pass cap=None to lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
@@ -88,12 +95,37 @@ def _check_length(n: int, cap: int | None) -> None:
 # tuple extends by letter pattern[l] exactly to the v with lo < v < hi, the
 # bounds `patterns._neighbours` points to.  An equal letter gives
 # hi = lo + 2.  `top` bounds every value and stands for "no bound above".
+#
+# The letters pattern[l:] read a tuple's slots through `_neighbours` too, so
+# each slot of a level has a role (`_roles`): lower, upper, fixed or free.
+# A tuple that is no higher on the lower slots, no lower on the upper slots
+# and equal on the fixed ones dominates the other, and a count keys each
+# node on its state cut to the undominated tuples (`_front`).
+
+
+def _roles(neighbours, length: int):
+    """The slots of a realisation of pattern[:length] by their role for the
+    letters still to come, read off `_neighbours`, as (signs, free); None
+    when every slot is fixed and no tuple can dominate another.
+
+    A lower slot bounds some letter from below only, so smaller is better;
+    an upper slot bounds one from above only, so larger is better; a fixed
+    slot is bound both ways or by an equal letter; a free slot bounds no
+    letter.  `signs` pairs each lower slot with 1, each upper slot with -1
+    and each fixed slot with both.
+    """
+    below = {b for b, _ in neighbours[length:]}
+    above = {a for _, a in neighbours[length:]}
+    signs = tuple((s, 1) for s in range(length) if s in below) + \
+        tuple((s, -1) for s in range(length) if s in above)
+    free = tuple(s for s in range(length) if s not in below and s not in above)
+    return None if len(signs) == 2 * length else (signs, free)
 
 
 def _compile(patterns: Sequence[Sequence[int]], top: int):
     """The transition table for the patterns over values below `top`, and
     the state of the empty prefix."""
-    plans, levels, forbidden = [], [], 0
+    plans, roles, levels, forbidden = [], [], [], 0
     for pattern in patterns:
         k = len(pattern)
         if k <= 1:  # every value completes an occurrence
@@ -104,9 +136,12 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
         for length in range(k - 1):
             target = first + length + 1 if length + 2 < k else -1  # -1: forbidden
             plans.append((*neighbours[length + 1], target))
+            role = _roles(neighbours, length)
+            if role is not None:
+                roles.append((len(levels), role))
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
-    return (tuple(plans), top), (forbidden, tuple(levels))
+    return (tuple(plans), top, tuple(roles)), (forbidden, tuple(levels))
 
 
 def _advance(search, state, v: int):
@@ -116,7 +151,7 @@ def _advance(search, state, v: int):
     last level, adds the values that would complete it to `forbidden`.
     Tuples no value can extend are dropped.
     """
-    plans, top = search
+    plans, top, _ = search
     forbidden, levels = state
     grown: dict[int, set] = {}
     for q, entries in enumerate(levels):
@@ -139,6 +174,46 @@ def _advance(search, state, v: int):
                 grown.setdefault(target, set()).add((lo, hi, values))
     return forbidden, tuple(entries | grown[q] if q in grown else entries
                             for q, entries in enumerate(levels))
+
+
+def _front(search, state, parent):
+    """`state` with each level cut to its front: the tuples no other tuple
+    of the level dominates, with their free slots zeroed.
+
+    t dominates t' when it is <= on every lower slot, >= on every upper slot
+    and = on every fixed slot, that is, when its cost (values[s] * sign over
+    the role's signs) is <= in every place.  Every letter still to come then
+    has looser bounds through t than through t', so each interval t' will
+    ever forbid lies inside one t forbids, and dropping t' changes no mask.
+    Free slots are never read again.  `parent` is the state `state` was
+    advanced from; its levels are fronts already, so only the tuples
+    `_advance` added are checked, and a level they leave unchanged is the
+    parent's own.
+    """
+    forbidden, levels = state
+    cut = list(levels)
+    for q, role in search[2]:
+        if levels[q] is not parent[1][q]:
+            cut[q] = _level_front(role, levels[q], parent[1][q])
+    return forbidden, tuple(cut)
+
+
+def _level_front(role, entries: frozenset, kept: frozenset) -> frozenset:
+    """The front of `entries`, given that its subset `kept` is one."""
+    signs, free = role
+    front = {entry: [entry[2][s] * sign for s, sign in signs] for entry in kept}
+    added = False
+    for lo, hi, values in entries - kept:
+        cost = [values[s] * sign for s, sign in signs]
+        if any(all(map(le, other, cost)) for other in front.values()):
+            continue
+        front = {entry: other for entry, other in front.items()
+                 if not all(map(le, cost, other))}
+        if free:
+            values = tuple(0 if s in free else x for s, x in enumerate(values))
+        front[lo, hi, values] = cost
+        added = True
+    return frozenset(front) if added else kept
 
 
 def _bits(mask: int) -> list[int]:
@@ -229,10 +304,11 @@ class _PermSearch:
 def _search(family: type, validate: Callable, n: int,
             patterns: Iterable[Iterable[int]], cap: int | None) -> tuple:
     """The checks every entry point makes, at its call, then its search: the
-    tree and the nodes it starts from (none under the empty pattern)."""
+    tree and the nodes it starts from (none under the empty pattern).  A
+    pattern longer than n cannot occur, so only the others are compiled."""
     checked = [validate(p) for p in patterns]
     _check_length(n, cap)
-    tree = family(n, *_compile(checked, n + 1))
+    tree = family(n, *_compile([p for p in checked if len(p) <= n], n + 1))
     return tree, [] if any(not p for p in checked) else [tree.root]
 
 
@@ -276,7 +352,12 @@ def _tally(tree, roots: list) -> int:
             if key in memo:
                 frame[2] += memo[key]
             else:
-                stack.append([key, tree.children(node), 0])
+                children = tree.children(node)
+                # a child at the last depth is counted, never keyed
+                if tree.search[2] and depth + 1 < last_depth:
+                    children = [(child[0], _front(tree.search, child[1], node[1]), *child[2:])
+                                for child in children]
+                stack.append([key, children, 0])
 
 
 def ascent_sequences(n: int, *, cap: int | None = ASCENT_CAP) -> Iterator[tuple[int, ...]]:
@@ -311,7 +392,8 @@ def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
 def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
                                     *, cap: int | None = ASCENT_CAP) -> int:
     """Exact count, without listing: the stream's search with the count below
-    each node memoized on (depth, ascents, last entry, avoidance state).
+    each node memoized on (depth, ascents, last entry, avoidance state cut to
+    its front).
 
     >>> count_ascent_sequences_avoiding(14, [(0, 2, 1)]) == catalan(14)
     True
@@ -322,8 +404,8 @@ def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = 
 def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
                                 *, cap: int | None = PERM_CAP) -> int:
     """Exact count, without listing: the stream's search with the count below
-    each node memoized on (entries left, avoidance state with each used value
-    replaced by the number of unused values below it).
+    each node memoized on (entries left, avoidance state cut to its front,
+    with each used value replaced by the number of unused values below it).
 
     >>> count_permutations_avoiding(13, [(1, 3, 2)]) == catalan(13)
     True

@@ -96,6 +96,18 @@ def test_criterion_3_extended_132_counts_to_length_13():
            f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 
+def test_criterion_1_and_3_catalan_counts_to_length_30():
+    start = time.perf_counter()
+    bad = [n for n in range(0, 31)
+           if not (count_ascent_sequences_avoiding(n, [A021], cap=None)
+                   == count_permutations_avoiding(n, [S132], cap=None) == catalan(n))]
+    elapsed = time.perf_counter() - start
+    ok = not bad and catalan(30) == 3_814_986_502_092_304 and elapsed <= BUDGET_SECONDS
+    report("criteria 1 and 3 (to length 30)", ok,
+           f"#A_n(021) = #S_n(132) = C_n for n = 0..30; mismatches: {bad or 'none'}; "
+           f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
+
+
 def test_criterion_4_equidistribution_to_length_11():
     start = time.perf_counter()
     failures = []

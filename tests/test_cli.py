@@ -111,6 +111,15 @@ class TestCount:
         expected = {"plain": "742900\n", "json": "742900\n", "csv": "count\n742900\n"}
         assert (code, out, err) == (0, expected[fmt], "")
 
+    @pytest.mark.parametrize("family, pattern", [("perm", "132"), ("ascent", "021")])
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_catalan_30_bytes(self, capsys, family, pattern, fmt):
+        code, out, err = run(capsys, "count", family, "30", "--avoid", pattern,
+                             "--max-n-override", "--format", fmt)
+        expected = {"plain": "3814986502092304\n", "json": "3814986502092304\n",
+                    "csv": "count\n3814986502092304\n"}
+        assert (code, out, err) == (0, expected[fmt], "")
+
     def test_perm_over_cap_bytes(self, capsys):
         code, out, err = run(capsys, "count", "perm", "14")
         assert (code, out) == (2, "")

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_avoids,
@@ -27,8 +29,10 @@ from ascseq import (
 from ascseq.enumeration import (
     JointDistribution,
     _advance,
+    _AscentSearch,
     _bits,
     _compile,
+    _front,
     _PermSearch,
 )
 
@@ -225,6 +229,147 @@ class TestAvoidanceState:
     @pytest.mark.parametrize("pair", PERM_PAIRS, ids=map(str, PERM_PAIRS))
     def test_perm_prefixes_two_patterns(self, pair):
         assert self.check(pair, 8, self.perm_values) == 13700
+
+
+class TestFront:
+    """A count cuts each state to its front before it keys or expands a node.
+    The cut state must forbid exactly what the full state forbids, at every
+    step of every extension."""
+
+    @staticmethod
+    def check(patterns, top, next_values):
+        search, start = _compile(patterns, top)
+        stack, seen = [((), start, start)], 0
+        while stack:
+            prefix, full, cut = stack.pop()
+            assert cut[0] == full[0], (patterns, prefix)
+            assert all(len(c) <= len(f) for c, f in zip(cut[1], full[1]))
+            seen += 1
+            if len(prefix) < 7:
+                stack += [(prefix + (v,), _advance(search, full, v),
+                           _front(search, _advance(search, cut, v), cut))
+                          for v in next_values(prefix)]
+        return seen
+
+    @pytest.mark.parametrize("patterns", [(w,) for w in WORD_BANK] + WORD_PAIRS,
+                             ids=map(str, WORD_BANK + WORD_PAIRS))
+    def test_ascent_prefixes(self, patterns):
+        assert self.check(patterns, 8, TestAvoidanceState.ascent_values) == 1308
+
+    @pytest.mark.parametrize("patterns", [(p,) for p in PERM_BANK] + PERM_PAIRS,
+                             ids=map(str, PERM_BANK + PERM_PAIRS))
+    def test_perm_prefixes(self, patterns):
+        assert self.check(patterns, 8, TestAvoidanceState.perm_values) == 13700
+
+    @pytest.mark.parametrize("pattern, prefix", [((1, 3, 2), (3, 1, 5, 2, 7, 4)),
+                                                 ((0, 2, 1), (0, 1, 2, 0, 3))])
+    def test_keeps_one_first_letter(self, pattern, prefix):
+        # the first letter of 132 or 021 bounds the later ones from below only
+        search, cut = _compile([pattern], 9)
+        for length, v in enumerate(prefix, 1):
+            cut = _front(search, _advance(search, cut, v), cut)
+            low = min(prefix[:length])
+            assert cut[1][1] == {(low, 9, (low,))}
+
+    def test_all_fixed_levels_get_no_front(self):
+        # each letter of 0101 after the first is bound both ways or by an
+        # equal letter, so no tuple can dominate another
+        search, _ = _compile([(0, 1, 0, 1)], 8)
+        assert search[2] == ()
+
+
+class TestMemoSize:
+    """The count's memo grows with the front, not with the realised tuples."""
+
+    @staticmethod
+    def distinct_keys(monkeypatch, family, count, n, pattern):
+        keys, real = set(), family.key
+
+        def key(self, node):
+            found = real(self, node)
+            keys.add(found)
+            return found
+
+        monkeypatch.setattr(family, "key", key)
+        assert count(n, [pattern], cap=None) == catalan(n)
+        return len(keys)
+
+    def test_132_at_20(self, monkeypatch):
+        assert self.distinct_keys(monkeypatch, _PermSearch, count_permutations_avoiding,
+                                  20, (1, 3, 2)) < 1000
+
+    def test_021_at_20(self, monkeypatch):
+        assert self.distinct_keys(monkeypatch, _AscentSearch,
+                                  count_ascent_sequences_avoiding, 20, (0, 2, 1)) < 2000
+
+
+class TestPatternsLongerThanN:
+    """A pattern longer than n cannot occur in an object of length n."""
+
+    def test_streams_and_counts_equal_the_family(self):
+        for n in range(0, 7):
+            words = [tuple(range(n + 1)), (0,) * (n + 1), (0, 1, 0, 1, 0, 1, 0)[:n + 1]]
+            every = list(ascent_sequences(n))
+            for pattern in words:
+                assert list(ascent_sequences_avoiding(n, [pattern])) == every
+                assert count_ascent_sequences_avoiding(n, [pattern]) == len(every)
+            perms = [tuple(range(1, n + 2)), tuple(range(n + 1, 0, -1))]
+            every = list(itertools.permutations(range(1, n + 1)))
+            for pattern in perms:
+                assert list(permutations_avoiding(n, [pattern])) == every
+                assert count_permutations_avoiding(n, [pattern]) == len(every)
+
+    def test_long_patterns_are_not_compiled(self, monkeypatch):
+        import ascseq.enumeration as enumeration
+        real, compiled = enumeration._compile, []
+
+        def spy(patterns, top):
+            compiled.append(list(patterns))
+            return real(patterns, top)
+
+        monkeypatch.setattr(enumeration, "_compile", spy)
+        assert count_ascent_sequences_avoiding(10, [tuple(range(3000))]) == 201_608
+        assert sum(1 for _ in ascent_sequences_avoiding(8, [tuple(range(3000))])) == 5335
+        assert count_ascent_sequences_avoiding(3, [(0, 2, 1), (0,) * 4]) == 5
+        assert compiled == [[], [], [(0, 2, 1)]]
+
+    def test_long_patterns_are_still_validated(self):
+        with pytest.raises(ValidationError, match="never uses letter 3"):
+            count_ascent_sequences_avoiding(2, [(0, 1, 2, 4, 0)])
+        with pytest.raises(ValidationError):
+            permutations_avoiding(2, [(1, 2, 2, 3)])
+        assert list(ascent_sequences_avoiding(0, [(0,)])) == [()]
+        assert count_permutations_avoiding(0, [(1, 2)]) == 1
+
+
+def _standardized(word):
+    ranks = {v: i for i, v in enumerate(sorted(set(word)))}
+    return tuple(ranks[v] for v in word)
+
+
+WORD_PATTERNS = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(_standardized)
+PERM_PATTERNS = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
+ALL_ASCENT = [list(ascent_sequences(n)) for n in range(8)]
+ALL_PERMS = [list(itertools.permutations(range(1, n + 1))) for n in range(8)]
+
+
+class TestRandomPatterns:
+    """Counts against the brute-force filter for patterns beyond the banks,
+    one or two at a time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(WORD_PATTERNS, min_size=1, max_size=2))
+    def test_ascent_counts(self, patterns):
+        for n in range(8):
+            assert count_ascent_sequences_avoiding(n, patterns) == sum(
+                1 for x in ALL_ASCENT[n] if all(brute_avoids(x, p) for p in patterns))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(PERM_PATTERNS, min_size=1, max_size=2))
+    def test_perm_counts(self, patterns):
+        for n in range(8):
+            assert count_permutations_avoiding(n, patterns) == sum(
+                1 for x in ALL_PERMS[n] if all(brute_avoids(x, p) for p in patterns))
 
 
 class TestCountsEqualListings:
