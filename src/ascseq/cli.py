@@ -24,11 +24,14 @@ from .core import ValidationError, format_seq, parse_seq, validate_permutation
 from .enumeration import (
     ASCENT_CAP,
     PERM_CAP,
+    _AscentTable,
     _check_length,
+    _joint_table,
+    _PermTable,
     ascent_sequences_avoiding,
+    catalan,
     count_ascent_sequences_avoiding,
     count_permutations_avoiding,
-    joint_distribution,
     permutations_avoiding,
     verify_equidistribution,
 )
@@ -236,10 +239,11 @@ def _cmd_map(args) -> Result:
 
 
 def _cmd_distribution(args) -> Result:
-    # both streams check their length cap when created: fail before tallying either
-    streams = {"A021": _stream(args, "ascent", args.n, (PATTERN_021,)),
-               "S132": _stream(args, "perm", args.n, (PATTERN_132,))}
-    tables = {family: joint_distribution(stream) for family, stream in streams.items()}
+    ascent_cap, perm_cap = _caps(args)
+    _check_length(args.n, ascent_cap)  # both caps before either search
+    _check_length(args.n, perm_cap)
+    tables = {"A021": _joint_table(_AscentTable, args.n, (PATTERN_021,), ascent_cap),
+              "S132": _joint_table(_PermTable, args.n, (PATTERN_132,), perm_cap)}
     diff = tables["A021"].difference(tables["S132"])
     verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 
@@ -280,6 +284,7 @@ def _cmd_verify(args) -> Result:
                                     if cap is not None)])
     _check_length(first_over, ascent_cap)
     _check_length(first_over, perm_cap)
+    catalan(args.n_max)  # past its table the last pass would fail: fail before the first
     reports = []
     for n in range(1, args.n_max + 1):
         if args.verbose:

@@ -26,12 +26,25 @@ in well under a second.  Streams visit each node once, have no memo to gain
 from, and keep the full state.  So a count does not list its objects; the
 test suite checks counts against listings exhaustively at small n.
 
-All four entry points share one front end, `_search`: it validates the
-patterns and checks the length cap at the call, leaves out the patterns
-longer than n, which cannot occur, then hands the tree and the nodes to
-start from to `_walk` (a lazy stream) or `_tally` (a count).  At n = 0 the
-root itself is the one object; the empty pattern, which occurs in
-everything, leaves no node to start from.
+The joint (asc, rlm) tables of the paper's theorem come from the same
+memoized tally with a weight on each entry (`_joint_table`): a memo value is
+then the table of the completions below a node, packed into one int, and
+nothing is listed.  A permutation entry is a right-to-left minimum iff no
+unused value lies below it, and an ascent iff it lies above the entry
+before, so the key gains the number of unused values below the last entry
+(`_PermTable`).  Whether an ascent sequence's entry is a minimum depends on
+the entries after it, so that search guesses and checks (`_AscentTable`):
+a declared minimum forbids every later value at or below it, and the key
+gains the smallest obligation still open.  `verify_equidistribution` and
+the CLI's `distribution` compare these tables; verify's map check then
+walks the stream of sequences once and keeps neither family.
+
+All four entry points and `_joint_table` share one front end, `_search`:
+it validates the patterns and checks the length cap at the call, leaves out
+the patterns longer than n, which cannot occur, then hands the tree and the
+nodes to start from to `_walk` (a lazy stream) or `_tally` (a count or a
+table).  At n = 0 the root itself is the one object; the empty pattern,
+which occurs in everything, leaves no node to start from.
 
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
 are capped by default (20 for ascent sequences, 13 for permutations) purely
@@ -41,12 +54,19 @@ as a guard against runaway jobs; pass cap=None to lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
-from .core import format_seq, validate_permutation
-from .patterns import PATTERN_021, PATTERN_132, _neighbours, validate_word_pattern
+from .core import format_seq, is_ascent_sequence, is_permutation, validate_permutation
+from .patterns import (
+    PATTERN_021,
+    PATTERN_132,
+    _first_021,
+    _neighbours,
+    validate_word_pattern,
+)
 from .stats import asc, rlm
 
 ASCENT_CAP = 20  # ~6.6e9 021-avoiders at n = 20: past desk scale
@@ -235,24 +255,26 @@ def _bits(mask: int) -> list[int]:
 
 class _AscentSearch:
     """Ascent sequences of length n avoiding the patterns.  Nodes are
-    (prefix, state, ascents, last entry); the root's -1s admit only 0."""
+    (prefix, state, ascents, last entry, obligation); the root's -1s admit
+    only 0.  The obligation stays n here (`_AscentTable` lowers it)."""
 
     def __init__(self, n: int, search, start) -> None:
         self.n, self.search = n, search
-        self.root = ((), start, -1, -1)
+        self.root = ((), start, -1, -1, n)
         self._codes: dict = {}
 
     def children(self, node) -> list:
-        prefix, state, ascents, last = node
-        return [(prefix + (v,), _advance(self.search, state, v), ascents + (v > last), v)
-                for v in _bits(self.leaves(node))]
+        prefix, state, ascents, last, due = node
+        # not `self.leaves`: `_AscentTable` narrows only the last entry there
+        return [(prefix + (v,), _advance(self.search, state, v), ascents + (v > last), v, due)
+                for v in _bits(((1 << ascents + 2) - 1) & ~state[0])]
 
     @staticmethod
     def leaves(node) -> int:
         return ((1 << node[2] + 2) - 1) & ~node[1][0]
 
     def key(self, node) -> int:
-        prefix, (forbidden, levels), ascents, last = node
+        prefix, (forbidden, levels), ascents, last, _ = node
         codes, top = self._codes, self.search[1]
         state = 0
         for q, entries in enumerate(levels):
@@ -261,6 +283,37 @@ class _AscentSearch:
         base = top + 1  # the root's -1s shift to 0
         return (((state << top | forbidden) * base + last + 1) * base
                 + ascents + 1) * base + len(prefix)
+
+
+class _AscentTable(_AscentSearch):
+    """The ascent search that `_joint_table` tallies by (asc, rlm).
+
+    Each entry is also declared a right-to-left minimum or not, and the
+    declarations are checked as the prefix grows.  A minimum v forbids every
+    later value <= v.  Any other entry leaves the obligation that some later
+    entry be <= it; only the smallest open one is kept, since an entry that
+    meets it meets them all.  A minimum, and the last entry, must meet it.
+    So each sequence has exactly one path, and the minima on it are its rlm.
+    """
+
+    def children(self, node) -> list:
+        out = []
+        for child in super().children(node):
+            prefix, (forbidden, levels), ascents, v, due = child
+            if v <= due:
+                out.append((prefix, (forbidden | (2 << v) - 1, levels), ascents, v, self.n))
+            out.append(child[:4] + (min(due, v),))
+        return out
+
+    @staticmethod
+    def leaves(node) -> int:
+        return _AscentSearch.leaves(node) & ((2 << node[4]) - 1)
+
+    def key(self, node) -> int:
+        return super().key(node) * (self.n + 1) + node[4]
+
+    def rlm(self, node) -> bool:
+        return node[4] == self.n
 
 
 class _PermSearch:
@@ -288,17 +341,31 @@ class _PermSearch:
 
     def key(self, node) -> int:
         _, (_, levels), unused = node
-        below, count = [], 0  # below[x]: unused values below x
-        for x in range(self.search[1] + 1):
-            below.append(count)
-            count += unused >> x & 1
         codes, state = self._codes, 0
         for q, entries in enumerate(levels):
             for lo, hi, values in entries:
-                if below[hi] > below[lo + 1]:  # else no unused value extends it
-                    gaps = tuple(below[x] for x in values)
+                if unused & (1 << hi) - (1 << lo + 1):  # else no unused value extends it
+                    gaps = tuple((unused & (1 << x) - 1).bit_count() for x in values)
                     state |= 1 << codes.setdefault((q, gaps), len(codes))
-        return state * (self.n + 1) + count
+        return state * (self.n + 1) + unused.bit_count()
+
+
+class _PermTable(_PermSearch):
+    """The permutation search that `_joint_table` tallies by (asc, rlm).
+
+    An appended v is a right-to-left minimum iff no unused value lies below
+    it, and an ascent iff at least as many unused values lie below it as
+    below the last entry; so the key gains that last number.
+    """
+
+    def key(self, node) -> int:
+        prefix, _, unused = node
+        below = (unused & (1 << prefix[-1]) - 1).bit_count() if prefix else 0
+        return super().key(node) * (self.n + 1) + below
+
+    @staticmethod
+    def rlm(node) -> bool:
+        return not node[2] & (1 << node[0][-1]) - 1
 
 
 def _search(family: type, validate: Callable, n: int,
@@ -327,11 +394,20 @@ def _walk(tree, stack: list) -> Iterator[tuple[int, ...]]:
             stack += reversed(tree.children(node))
 
 
-def _tally(tree, roots: list) -> int:
+def _tally(tree, roots: list, width: int = 0) -> int:
     """The number of objects `_walk` gives from the roots, with the count
-    below each node memoized on its canonical key."""
+    below each node memoized on its canonical key.
+
+    With a nonzero `width`, their joint (asc, rlm) table instead, packed into
+    one int: the objects with asc a and rlm r are counted in the `width` bits
+    from bit width * (a * (n + 1) + r) up, so each ascent weighs
+    2 ** (width * (n + 1)) and each right-to-left minimum (`tree.rlm`) weighs
+    2 ** width.  A memo value is then the table of the completions below a
+    node by what their entries add, and the tree keys all that decides it.
+    """
     last_depth, memo = tree.n - 1, {}
-    stack = [[None, roots, 0]]  # per open node: key, children left, count
+    ascent = width * (tree.n + 1)
+    stack = [[None, roots, 0, 0]]  # per open node: key, children left, tally, its weight's log2
     while True:
         frame = stack[-1]
         if not frame[1]:
@@ -339,25 +415,30 @@ def _tally(tree, roots: list) -> int:
             if not stack:
                 return frame[2]
             memo[frame[0]] = frame[2]
-            stack[-1][2] += frame[2]
+            stack[-1][2] += frame[2] << frame[3]
             continue
         node = frame[1].pop()
-        depth = len(node[0])
-        if depth == last_depth:
-            frame[2] += tree.leaves(node).bit_count()
+        prefix = node[0]
+        depth = len(prefix)
+        shift = width and depth and (
+            (depth > 1 and prefix[-1] > prefix[-2]) * ascent + tree.rlm(node) * width)
+        if depth == last_depth:  # every leaf is a minimum, and an ascent above the last entry
+            leaves = tree.leaves(node)
+            above = (leaves >> prefix[-1] + 1).bit_count() if width and prefix else 0
+            frame[2] += (leaves.bit_count() - above + (above << ascent)) << width + shift
         elif depth > last_depth:  # n = 0: the root is the empty object
             frame[2] += 1
         else:
             key = tree.key(node)
             if key in memo:
-                frame[2] += memo[key]
+                frame[2] += memo[key] << shift
             else:
                 children = tree.children(node)
                 # a child at the last depth is counted, never keyed
                 if tree.search[2] and depth + 1 < last_depth:
                     children = [(child[0], _front(tree.search, child[1], node[1]), *child[2:])
                                 for child in children]
-                stack.append([key, children, 0])
+                stack.append([key, children, 0, shift])
 
 
 def ascent_sequences(n: int, *, cap: int | None = ASCENT_CAP) -> Iterator[tuple[int, ...]]:
@@ -451,6 +532,20 @@ def joint_distribution(objects: Iterable[tuple[int, ...]],
     return JointDistribution(entries, total)
 
 
+def _joint_table(family: type, n: int, patterns: Iterable[Iterable[int]],
+                 cap: int | None) -> JointDistribution:
+    """The joint (asc, rlm) table of the objects of length n avoiding the
+    patterns, for `_AscentTable` or `_PermTable`, by the memoized search:
+    nothing is listed.  The checks are those of the family's stream."""
+    validate = validate_permutation if family is _PermTable else validate_word_pattern
+    width = factorial(n).bit_length()  # no cell can count more than n! objects
+    tally, entries = _tally(*_search(family, validate, n, patterns, cap), width), {}
+    for cell in range((n + 1) ** 2):
+        if count := tally >> width * cell & (1 << width) - 1:
+            entries[divmod(cell, n + 1)] = count
+    return JointDistribution(entries, sum(entries.values()))
+
+
 @dataclass(frozen=True)
 class EquidistributionReport:
     """Outcome of the exhaustive equidistribution check at one length.
@@ -476,16 +571,21 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     the 132-avoiding permutations are identical, (b) both totals equal the
     n-th Catalan number, and (c) the map sends each sequence to a distinct
     132-avoiding permutation with the same statistics and round-trips back.
+
+    Both caps and the Catalan range are checked before any search.  The
+    tables come from the memoized search (`_joint_table`), so (a) and (b)
+    list nothing; (c) walks the stream of sequences once and keeps none of
+    them, nor any permutation.  An image is in the family iff it is a
+    permutation of 1..n with no 132, and since every earlier image round-
+    trips, x repeats an earlier image iff the preimage of its image is an
+    earlier sequence that maps there too.
     """
-    # both streams check their length cap when created: fail before listing either
-    sequence_stream = ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap)
-    perm_stream = permutations_avoiding(n, (PATTERN_132,), cap=perm_cap)
-    sequences = list(sequence_stream)
-    hit = dict.fromkeys(perm_stream, False)  # S_n(132): has the map reached it yet?
-    table_a = joint_distribution(sequences)
-    table_p = joint_distribution(hit)
-    diff = table_a.difference(table_p)
+    _check_length(n, ascent_cap)
+    _check_length(n, perm_cap)
     cat = catalan(n)
+    table_a = _joint_table(_AscentTable, n, (PATTERN_021,), ascent_cap)
+    table_p = _joint_table(_PermTable, n, (PATTERN_132,), perm_cap)
+    diff = table_a.difference(table_p)
 
     failure = None
     if diff:
@@ -497,9 +597,9 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
         failure = (f"totals {table_a.total} and {table_p.total} "
                    f"do not both equal catalan({n}) = {cat}")
     else:
-        for x in sequences:
+        for x in ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap):
             image = _to_permutation(x)
-            if image not in hit:
+            if len(image) != n or not is_permutation(image) or _first_021(image):
                 failure = (f"{format_seq(x)} maps to {format_seq(image)}, "
                            f"not a 132-avoiding permutation of length {n}")
                 break
@@ -507,12 +607,12 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
                 failure = (f"statistics change across the map on {format_seq(x)}: "
                            f"({asc(x)}, {rlm(x)}) -> ({asc(image)}, {rlm(image)})")
                 break
-            if hit[image]:
-                failure = f"collision: image {format_seq(image)} is hit twice"
-                break
-            hit[image] = True
-            if _to_ascent(image) != x:
-                failure = f"round trip fails on {format_seq(x)}"
+            back = _to_ascent(image)
+            if back != x:  # an earlier sequence with this image round-trips to `back`
+                failure = (f"collision: image {format_seq(image)} is hit twice"
+                           if back < x and len(back) == n and is_ascent_sequence(back)
+                           and not _first_021(back) and _to_permutation(back) == image
+                           else f"round trip fails on {format_seq(x)}")
                 break
 
     return EquidistributionReport(n, table_a, table_p, diff, cat,

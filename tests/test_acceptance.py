@@ -32,6 +32,7 @@ from ascseq import (
     validate_ascent_sequence,
     verify_equidistribution,
 )
+from ascseq.enumeration import _AscentTable, _joint_table, _PermTable
 
 A021 = (0, 2, 1)
 P101 = (1, 0, 1)
@@ -105,6 +106,23 @@ def test_criterion_1_and_3_catalan_counts_to_length_30():
     ok = not bad and catalan(30) == 3_814_986_502_092_304 and elapsed <= BUDGET_SECONDS
     report("criteria 1 and 3 (to length 30)", ok,
            f"#A_n(021) = #S_n(132) = C_n for n = 0..30; mismatches: {bad or 'none'}; "
+           f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
+
+
+def test_criterion_4_joint_tables_to_length_25():
+    # the theorem itself, by the memoized search: no object is listed
+    start = time.perf_counter()
+    bad = []
+    for n in range(0, 26):
+        table_a = _joint_table(_AscentTable, n, [A021], None)
+        table_p = _joint_table(_PermTable, n, [S132], None)
+        if not (table_a == table_p and table_a.total == catalan(n)):
+            bad.append(n)
+    elapsed = time.perf_counter() - start
+    ok = not bad and elapsed <= BUDGET_SECONDS
+    report("criterion 4 (joint tables to length 25)", ok,
+           f"joint (asc, rlm) tables of A_n(021) and S_n(132) equal, total C_n, "
+           f"for n = 0..25; mismatches: {bad or 'none'}; "
            f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 

@@ -377,9 +377,12 @@ class TestDistribution:
     def test_nonempty_difference_still_exits_0(self, capsys, monkeypatch):
         # tally S_3(123) in place of S_3(132): the tables differ in two cells
         import ascseq.cli as cli
-        original = cli.permutations_avoiding
-        monkeypatch.setattr(cli, "permutations_avoiding",
-                            lambda n, patterns, cap: original(n, [(1, 2, 3)], cap=cap))
+        original = cli._joint_table
+
+        def table(family, n, patterns, cap):
+            return original(family, n, [(1, 2, 3)] if family is cli._PermTable else patterns, cap)
+
+        monkeypatch.setattr(cli, "_joint_table", table)
         code, out, _ = run(capsys, "distribution", "3")
         assert code == 0
         assert out == ("n 3\n"
@@ -510,13 +513,41 @@ class TestVerify:
         assert out == ("n=1 pass (1 per family)\nn=2 pass (2 per family)\n"
                        "n=3 FAIL: collision: image 2 1 3 is hit twice\nverdict fail\n")
 
+    @pytest.mark.parametrize("image, text", [((1, 2, 3, 4), "1 2 3 4"), ((1, 1, 3), "1 1 3"),
+                                             ((1, 3, 2), "1 3 2")],
+                             ids=["wrong length", "not a permutation", "contains 132"])
+    def test_image_outside_the_family(self, capsys, monkeypatch, image, text):
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: image if x == (0, 1, 0) else real(x))
+        failure = f"0 1 0 maps to {text}, not a 132-avoiding permutation of length 3"
+        code, out, _ = run(capsys, "verify", "4")
+        assert code == 1
+        assert out == ("n=1 pass (1 per family)\nn=2 pass (2 per family)\n"
+                       f"n=3 FAIL: {failure}\nverdict fail\n")
+        code, out, _ = run(capsys, "verify", "4", "--format", "csv")
+        assert code == 1
+        assert out.endswith(f'3,False,5,5,"{failure}"\n')
+
+    def test_round_trip_line(self, capsys, monkeypatch):
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        swap = {(0, 0, 1): (0, 1, 1), (0, 1, 1): (0, 0, 1)}
+        monkeypatch.setattr(enumeration, "_to_permutation", lambda x: real(swap.get(x, x)))
+        code, out, _ = run(capsys, "verify", "3")
+        assert code == 1
+        assert out == ("n=1 pass (1 per family)\nn=2 pass (2 per family)\n"
+                       "n=3 FAIL: round trip fails on 0 0 1\nverdict fail\n")
+
     def test_zero_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "0")
         assert code == 2
 
 
 class TestCapsBeforeWork:
-    """`verify` and `distribution` check both length caps before any search."""
+    """`verify` and `distribution` check both length caps, and `verify` the
+    Catalan range, before any search."""
 
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
@@ -531,6 +562,11 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert "exceeds the enumeration cap 13" in err
         assert "internal error" not in err
+
+    def test_catalan_range_fails_first(self, capsys):
+        # with the caps lifted, n = 31 is past the Catalan table of the last pass
+        code, out, err = run(capsys, "verify", "31", "--max-n-override")
+        assert (code, out, err) == (2, "", "error: catalan(n) supports 0 <= n <= 30, got 31\n")
 
 
 class TestGlobalFlags:

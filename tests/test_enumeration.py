@@ -27,13 +27,18 @@ from ascseq import (
     verify_equidistribution,
 )
 from ascseq.enumeration import (
+    ASCENT_CAP,
+    PERM_CAP,
     JointDistribution,
     _advance,
     _AscentSearch,
+    _AscentTable,
     _bits,
     _compile,
     _front,
+    _joint_table,
     _PermSearch,
+    _PermTable,
 )
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
@@ -50,6 +55,13 @@ WORD_PAIRS = [((0, 2, 1), (1, 0, 1)), ((0, 1, 0, 1), (0, 0, 0)), ((0, 0), (0, 1,
               ((1, 0, 2), (0, 1, 1)), ((0, 1, 0), (1, 2, 0))]
 PERM_PAIRS = [((1, 3, 2), (2, 1, 3)), ((1, 2, 3, 4), (2, 4, 1, 3)),
               ((2, 1), (1, 3, 2, 4)), ((1, 2, 3), (3, 2, 1))]
+# the joint tables' other patterns, singly and in pairs
+TABLE_WORD_PATTERNS = [[p] for p in ((0, 1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 2))]
+TABLE_WORD_PATTERNS += [a + b for a, b in itertools.combinations(TABLE_WORD_PATTERNS, 2)]
+TABLE_PERM_PATTERNS = [[p] for p in ((1, 2, 3, 4), (2, 4, 1, 3), (2, 1, 3))]
+TABLE_PERM_PATTERNS += [a + b for a, b in itertools.combinations(TABLE_PERM_PATTERNS, 2)]
+# images of 0 1 0 outside S_3(132), with their text
+IMAGES_OUTSIDE_S132 = [((1, 2, 3, 4), "1 2 3 4"), ((1, 1, 3), "1 1 3"), ((1, 3, 2), "1 3 2")]
 
 
 class TestCatalan:
@@ -500,6 +512,15 @@ class TestCaps:
         with pytest.raises(ValueError, match="exceeds the enumeration cap 13"):
             verify_equidistribution(14)
 
+    def test_verify_checks_catalan_range_before_listing(self, monkeypatch):
+        # with the caps lifted, n = 31 is past the Catalan table: fail at once
+        def no_search(*args):
+            raise AssertionError("the search ran before the Catalan range was checked")
+
+        monkeypatch.setattr("ascseq.enumeration._advance", no_search)
+        with pytest.raises(ValueError, match=r"catalan\(n\) supports 0 <= n <= 30, got 31"):
+            verify_equidistribution(31, ascent_cap=None, perm_cap=None)
+
 
 class TestJointDistribution:
     def test_length_three_tables(self):
@@ -520,6 +541,41 @@ class TestJointDistribution:
         b = JointDistribution({(0, 1): 1, (2, 2): 4}, 5)
         assert a.difference(b) == {(0, 1): 1, (1, 1): 1, (2, 2): -4}
         assert a.difference(a) == {}
+
+
+class TestJointTable:
+    """`_joint_table` tallies by (asc, rlm) through the memoized search; the
+    stream's `joint_distribution` is its oracle."""
+
+    @staticmethod
+    def check(n, word_patterns=None, perm_patterns=None):
+        if word_patterns is not None:
+            assert _joint_table(_AscentTable, n, word_patterns, None) == joint_distribution(
+                ascent_sequences_avoiding(n, word_patterns, cap=None)), (n, word_patterns)
+        if perm_patterns is not None:
+            assert _joint_table(_PermTable, n, perm_patterns, None) == joint_distribution(
+                permutations_avoiding(n, perm_patterns, cap=None)), (n, perm_patterns)
+
+    def test_021_and_132(self):
+        for n in range(11):
+            self.check(n, [(0, 2, 1)], [(1, 3, 2)])
+
+    @pytest.mark.parametrize("patterns", TABLE_WORD_PATTERNS, ids=map(str, TABLE_WORD_PATTERNS))
+    def test_word_patterns(self, patterns):
+        for n in range(9):
+            self.check(n, word_patterns=patterns)
+
+    @pytest.mark.parametrize("patterns", TABLE_PERM_PATTERNS, ids=map(str, TABLE_PERM_PATTERNS))
+    def test_perm_patterns(self, patterns):
+        for n in range(9):
+            self.check(n, perm_patterns=patterns)
+
+    def test_checks_of_the_stream(self):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 13"):
+            _joint_table(_PermTable, 14, [(1, 3, 2)], PERM_CAP)
+        with pytest.raises(ValidationError, match="never uses letter 1"):
+            _joint_table(_AscentTable, 3, [(0, 2)], ASCENT_CAP)
+        assert _joint_table(_AscentTable, 3, [()], None) == JointDistribution({}, 0)
 
 
 class TestVerifyEquidistribution:
@@ -573,4 +629,30 @@ class TestVerifyEquidistribution:
                             lambda x: real((0, 0, 1) if x == (0, 1, 1) else x))
         report = verify_equidistribution(3)
         assert report.failure == "collision: image 2 1 3 is hit twice"
+        assert not report.passed
+
+    @pytest.mark.parametrize("image, text", IMAGES_OUTSIDE_S132,
+                             ids=["wrong length", "not a permutation", "contains 132"])
+    def test_image_outside_the_family_is_reported(self, monkeypatch, image, text):
+        # each image also changes the statistics: membership is checked first
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: image if x == (0, 1, 0) else real(x))
+        report = verify_equidistribution(3)
+        assert report.failure == (f"0 1 0 maps to {text}, "
+                                  "not a 132-avoiding permutation of length 3")
+        assert not report.passed
+
+    @pytest.mark.parametrize("redirect", [{(0, 0, 1): (0, 1, 1), (0, 1, 1): (0, 0, 1)},
+                                          {(0, 0, 1): (0, 1, 1)}],
+                             ids=["swapped images", "one image twice"])
+    def test_round_trip_is_reported(self, monkeypatch, redirect):
+        # 0 0 1 comes back as 0 1 1 before any image is hit twice
+        import ascseq.enumeration as enumeration
+        real = enumeration._to_permutation
+        monkeypatch.setattr(enumeration, "_to_permutation",
+                            lambda x: real(redirect.get(x, x)))
+        report = verify_equidistribution(3)
+        assert report.failure == "round trip fails on 0 0 1"
         assert not report.passed
