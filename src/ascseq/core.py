@@ -179,7 +179,13 @@ def parse_seq(text: str) -> tuple[int, ...]:
 
 
 def format_seq(values: Sequence[int]) -> str:
-    """Spaced text form; the empty sequence prints as "ε"."""
+    """Spaced text form; the empty sequence prints as "ε".
+
+    >>> format_seq((0, 10, -1))
+    '0 10 -1'
+    >>> format_seq(())
+    'ε'
+    """
     if not values:
         return EMPTY_TEXT
-    return " ".join(str(v) for v in values)
+    return " ".join(map(str, values))

@@ -12,19 +12,27 @@ appended.  A permutation prefix is also dropped as soon as an unused value
 is forbidden: that value has to come later, and then it completes an
 occurrence.
 
+The update has two halves.  The mask half (`_forbid`) reads only each
+pattern's last level and gives the new mask; the level half (`_grow`) moves
+the other realisations up.  Only a node the search will expand needs its
+levels, so a child one entry short of length n carries just its mask (its
+last entries are the values the mask allows), and a permutation child is
+tested for a dead end on its mask before its levels are built.
+
 Streams walk the tree with an explicit stack, in lexicographic order with no
-duplicates.  Counts run the same transition over the same tree, but memoize
-the number of objects below each node on a canonical key: (depth, ascents,
-last entry, state) for ascent sequences, and (entries left, state) for
-permutations, with each used value replaced by the number of unused values
-below it, which is all the rest of the search can see.  Before a count keys
-a node, it cuts the node's state to its front (`_front`): a realised tuple
-that bounds every letter still to come at least as tightly as another one
-can never forbid a value the other does not, so it is dropped.  For 021 and
-132 the front keeps one realised first letter, and the counts reach n = 30
-in well under a second.  Streams visit each node once, have no memo to gain
-from, and keep the full state.  So a count does not list its objects; the
-test suite checks counts against listings exhaustively at small n.
+duplicates, and build the levels of each node they expand exactly once.
+Counts run the same transition over the same tree, but memoize the number of
+objects below each node on a canonical key: (depth, ascents, last entry,
+state) for ascent sequences, and (entries left, state) for permutations,
+with each used value replaced by the number of unused values below it, which
+is all the rest of the search can see.  Before a count keys a node, it cuts
+the node's state to its front (`_front`): a realised tuple that bounds every
+letter still to come at least as tightly as another one can never forbid a
+value the other does not, so it is dropped.  For 021 and 132 the front keeps
+one realised first letter, and the counts reach n = 30 in well under a
+second.  Streams visit each node once, have no memo to gain from, and keep
+the uncut state.  So a count does not list its objects; the test suite
+checks counts against listings exhaustively at small n.
 
 The joint (asc, rlm) tables of the paper's theorem come from the same
 memoized tally with a weight on each entry (`_joint_table`): a memo value is
@@ -115,6 +123,7 @@ def _check_length(n: int, cap: int | None) -> None:
 # tuple extends by letter pattern[l] exactly to the v with lo < v < hi, the
 # bounds `patterns._neighbours` points to.  An equal letter gives
 # hi = lo + 2.  `top` bounds every value and stands for "no bound above".
+# A node one entry short of length n has no levels (None): see `leaves`.
 #
 # The letters pattern[l:] read a tuple's slots through `_neighbours` too, so
 # each slot of a level has a role (`_roles`): lower, upper, fixed or free.
@@ -144,8 +153,14 @@ def _roles(neighbours, length: int):
 
 def _compile(patterns: Sequence[Sequence[int]], top: int):
     """The transition table for the patterns over values below `top`, and
-    the state of the empty prefix."""
-    plans, roles, levels, forbidden = [], [], [], 0
+    the state of the empty prefix.
+
+    Each level q gets a plan (q, below, above): the slots that bound the
+    next letter of a tuple the new entry extends.  A level's tuples move up
+    to level q + 1, except on a pattern's last level, whose plan is final:
+    there they forbid values instead.
+    """
+    grows, finals, roles, levels, forbidden = [], [], [], [], 0
     for pattern in patterns:
         k = len(pattern)
         if k <= 1:  # every value completes an occurrence
@@ -154,29 +169,49 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
         neighbours = _neighbours(pattern)
         first = len(levels)
         for length in range(k - 1):
-            target = first + length + 1 if length + 2 < k else -1  # -1: forbidden
-            plans.append((*neighbours[length + 1], target))
+            plan = (len(levels), *neighbours[length + 1])
+            (grows if length + 2 < k else finals).append(plan)
             role = _roles(neighbours, length)
             if role is not None:
                 roles.append((len(levels), role))
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
-    return (tuple(plans), top, tuple(roles)), (forbidden, tuple(levels))
+    return ((tuple(grows), tuple(finals)), top, tuple(roles)), (forbidden, tuple(levels))
 
 
-def _advance(search, state, v: int):
-    """The state of a prefix with state `state` after appending v.
+def _forbid(search, state, v: int) -> int:
+    """The mask half of `_advance`: the forbidden mask after appending v.
 
-    Each realisation the new entry extends moves up one level, or, from the
-    last level, adds the values that would complete it to `forbidden`.
-    Tuples no value can extend are dropped.
+    Only the last levels are read.  Each of their tuples that v extends
+    realises all of its pattern but the last letter, and forbids the values
+    that would complete it.  A child one entry short of length n needs no
+    more than this (see `leaves`).
     """
-    plans, top, _ = search
+    (_, finals), top, _ = search
     forbidden, levels = state
+    for q, below, above in finals:
+        for lo, hi, values in levels[q]:
+            if lo < v < hi:
+                values += (v,)
+                if below == above:
+                    forbidden |= 1 << values[below]
+                else:  # hi > lo, so an empty interval adds nothing
+                    lo = values[below] if below >= 0 else -1
+                    hi = values[above] if above >= 0 else top
+                    forbidden |= (1 << hi) - (1 << lo + 1)
+    return forbidden
+
+
+def _grow(search, levels: tuple, v: int) -> tuple:
+    """The level half of `_advance`: the levels after appending v.
+
+    Each tuple that v extends, on a level other than its pattern's last,
+    moves up one level, unless no value is left between its new bounds.
+    """
+    (grows, _), top, _ = search
     grown: dict[int, set] = {}
-    for q, entries in enumerate(levels):
-        below, above, target = plans[q]
-        for lo, hi, values in entries:
+    for q, below, above in grows:
+        for lo, hi, values in levels[q]:
             if not lo < v < hi:
                 continue
             values += (v,)
@@ -188,12 +223,20 @@ def _advance(search, state, v: int):
                 hi = values[above] if above >= 0 else top
                 if hi - lo < 2:
                     continue
-            if target < 0:
-                forbidden |= (1 << hi) - (1 << (lo + 1))
-            else:
-                grown.setdefault(target, set()).add((lo, hi, values))
-    return forbidden, tuple(entries | grown[q] if q in grown else entries
-                            for q, entries in enumerate(levels))
+            grown.setdefault(q + 1, set()).add((lo, hi, values))
+    return tuple(entries | grown[q] if q in grown else entries
+                 for q, entries in enumerate(levels))
+
+
+def _advance(search, state, v: int):
+    """The state of a prefix with state `state` after appending v: the mask
+    half (`_forbid`) and the level half (`_grow`).
+
+    Each realisation the new entry extends moves up one level, or, from the
+    last level, adds the values that would complete it to `forbidden`.
+    Tuples no value can extend are dropped.
+    """
+    return _forbid(search, state, v), _grow(search, state[1], v)
 
 
 def _front(search, state, parent):
@@ -265,8 +308,11 @@ class _AscentSearch:
 
     def children(self, node) -> list:
         prefix, state, ascents, last, due = node
+        search, grow = self.search, len(prefix) + 2 < self.n
         # not `self.leaves`: `_AscentTable` narrows only the last entry there
-        return [(prefix + (v,), _advance(self.search, state, v), ascents + (v > last), v, due)
+        return [(prefix + (v,), (_forbid(search, state, v),
+                                 _grow(search, state[1], v) if grow else None),
+                 ascents + (v > last), v, due)
                 for v in _bits(((1 << ascents + 2) - 1) & ~state[0])]
 
     @staticmethod
@@ -327,12 +373,13 @@ class _PermSearch:
 
     def children(self, node) -> list:
         prefix, state, unused = node
-        out = []
+        search, grow, out = self.search, len(prefix) + 2 < self.n, []
         for v in _bits(unused & ~state[0]):
             rest = unused ^ (1 << v)
-            child = _advance(self.search, state, v)
-            if not child[0] & rest:  # else an unused value can never be placed
-                out.append((prefix + (v,), child, rest))
+            forbidden = _forbid(search, state, v)
+            if not forbidden & rest:  # else an unused value can never be placed
+                out.append((prefix + (v,),
+                            (forbidden, _grow(search, state[1], v) if grow else None), rest))
         return out
 
     @staticmethod

@@ -8,6 +8,7 @@ them.  `special_maximum` applies to valid ascent sequences only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 from .core import validate_ascent_sequence
@@ -19,7 +20,7 @@ def asc(seq: Sequence[int]) -> int:
     >>> asc((0, 1, 0, 1))
     2
     """
-    return sum(a < b for a, b in zip(seq, seq[1:]))
+    return sum(map(lt, seq, seq[1:]))
 
 
 def rlm(seq: Sequence[int]) -> int:

@@ -554,7 +554,7 @@ class TestCapsBeforeWork:
         def fail(*args):
             raise AssertionError("the search ran before the caps were checked")
 
-        monkeypatch.setattr("ascseq.enumeration._advance", fail)
+        monkeypatch.setattr("ascseq.enumeration._compile", fail)
 
     @pytest.mark.parametrize("argv", [("verify", "14"), ("distribution", "14")])
     def test_permutation_cap_fails_first(self, capsys, argv):

@@ -26,6 +26,7 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
+from ascseq.core import is_ascent_sequence
 from ascseq.enumeration import (
     ASCENT_CAP,
     PERM_CAP,
@@ -35,11 +36,13 @@ from ascseq.enumeration import (
     _AscentTable,
     _bits,
     _compile,
+    _forbid,
     _front,
     _joint_table,
     _PermSearch,
     _PermTable,
 )
+from ascseq.patterns import _first_021
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
 # whose equal letters are not adjacent
@@ -189,27 +192,30 @@ class TestPermStreams:
 
 class TestAvoidanceState:
     """The state's forbidden mask is exactly the set of values that would
-    complete an occurrence, by the old per-candidate search, on every prefix."""
+    complete an occurrence, by the old per-candidate search, on every prefix;
+    and the mask half of the transition alone gives the same mask."""
 
     @staticmethod
     def forbidden_masks(patterns, top, next_values, max_len):
-        """(prefix, forbidden mask) for every prefix of up to max_len entries."""
+        """(prefix, forbidden mask by `_advance`, by `_forbid`) for every
+        prefix of up to max_len entries."""
         search, start = _compile(patterns, top)
-        stack = [((), start)]
+        stack = [((), start, start[0])]
         while stack:
-            prefix, state = stack.pop()
-            yield prefix, state[0]
+            prefix, state, mask = stack.pop()
+            yield prefix, state[0], mask
             if len(prefix) < max_len:
-                stack += [(prefix + (v,), _advance(search, state, v))
+                stack += [(prefix + (v,), _advance(search, state, v), _forbid(search, state, v))
                           for v in next_values(prefix)]
 
     def check(self, patterns, top, next_values):
         rels = [relations(p) for p in patterns]
         seen = 0
-        for prefix, forbidden in self.forbidden_masks(patterns, top, next_values, 7):
+        for prefix, forbidden, mask in self.forbidden_masks(patterns, top, next_values, 7):
             expected = {v for v in range(top)
                         if any(completes_occurrence(prefix, v, r) for r in rels)}
             assert set(_bits(forbidden)) == expected, (patterns, prefix)
+            assert mask == forbidden, (patterns, prefix)
             seen += 1
         return seen
 
@@ -313,6 +319,42 @@ class TestMemoSize:
     def test_021_at_20(self, monkeypatch):
         assert self.distinct_keys(monkeypatch, _AscentSearch,
                                   count_ascent_sequences_avoiding, 20, (0, 2, 1)) < 2000
+
+
+class TestFullStates:
+    """A node gets its levels only if the search expands it: a child one
+    entry short of n carries just its forbidden mask, and a permutation
+    child's dead-end test reads only its mask.  The objects are unchanged."""
+
+    @staticmethod
+    def walk(monkeypatch, stream):
+        """The stream's objects, and how many states got their levels."""
+        import ascseq.enumeration as enumeration
+        real, built = enumeration._grow, [0]
+
+        def grow(*args):
+            built[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_grow", grow)
+        objects = list(stream)
+        assert objects == sorted(set(objects))
+        return objects, built[0]
+
+    def test_021_at_11(self, monkeypatch):
+        objects, built = self.walk(monkeypatch, ascent_sequences_avoiding(11, [(0, 2, 1)]))
+        assert len(objects) == catalan(11)
+        assert all(is_ascent_sequence(x) and _first_021(x) is None for x in objects)
+        # one per sequence of length 1..9: a child of length 10 gets only its mask
+        assert built == sum(catalan(m) for m in range(1, 10)) == 6917
+
+    def test_132_at_9(self, monkeypatch):
+        objects, built = self.walk(monkeypatch, permutations_avoiding(9, [(1, 3, 2)]))
+        assert len(objects) == catalan(9)
+        assert all(sorted(p) == [*range(1, 10)] and brute_avoids(p, (1, 3, 2))
+                   for p in objects)
+        # neither a dead end nor a child of length 8 gets levels
+        assert built <= 7071
 
 
 class TestPatternsLongerThanN:
@@ -508,7 +550,7 @@ class TestCaps:
         def no_search(*args):
             raise AssertionError("the search ran before the caps were checked")
 
-        monkeypatch.setattr("ascseq.enumeration._advance", no_search)
+        monkeypatch.setattr("ascseq.enumeration._compile", no_search)
         with pytest.raises(ValueError, match="exceeds the enumeration cap 13"):
             verify_equidistribution(14)
 
@@ -517,7 +559,7 @@ class TestCaps:
         def no_search(*args):
             raise AssertionError("the search ran before the Catalan range was checked")
 
-        monkeypatch.setattr("ascseq.enumeration._advance", no_search)
+        monkeypatch.setattr("ascseq.enumeration._compile", no_search)
         with pytest.raises(ValueError, match=r"catalan\(n\) supports 0 <= n <= 30, got 31"):
             verify_equidistribution(31, ascent_cap=None, perm_cap=None)
 
