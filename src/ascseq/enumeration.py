@@ -155,10 +155,11 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
     """The transition table for the patterns over values below `top`, and
     the state of the empty prefix.
 
-    Each level q gets a plan (q, below, above): the slots that bound the
-    next letter of a tuple the new entry extends.  A level's tuples move up
-    to level q + 1, except on a pattern's last level, whose plan is final:
-    there they forbid values instead.
+    Each level q gets a plan (q, below, above): when a new entry extends a
+    tuple of level q, slots `below` and `above` of the longer tuple bound
+    the letter after it.  The longer tuple moves up to level q + 1, except
+    from a pattern's last level, whose plan is in `finals`: there it forbids
+    values instead.
     """
     grows, finals, roles, levels, forbidden = [], [], [], [], 0
     for pattern in patterns:
