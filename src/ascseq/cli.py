@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijection import ascent_to_permutation, permutation_to_ascent
-from .core import ValidationError, format_seq, parse_seq, validate_permutation
+from .core import ValidationError, format_seq, format_seqs, parse_seq, validate_permutation
 from .enumeration import (
     ASCENT_CAP,
     PERM_CAP,
@@ -159,9 +159,11 @@ def _document(build: Callable[[], object]) -> Iterator[str]:
 
 
 def _listing(objects: Iterable[tuple[int, ...]], json_lines: Iterable[str]) -> Result:
-    """One object per plain line, or per csv row under an `object` column."""
-    return Result(map(format_seq, objects), json_lines, ["object"],
-                  ([format_seq(obj)] for obj in objects))
+    """One object per plain line, or per csv row under an `object` column.
+    Only one format is printed, so both read the same texts; an object's
+    text never needs csv quoting."""
+    texts = format_seqs(objects)
+    return Result(texts, json_lines, ["object"], zip(texts))
 
 
 def _caps(args) -> tuple[int | None, int | None]:
@@ -240,8 +242,7 @@ def _cmd_map(args) -> Result:
 
 def _cmd_distribution(args) -> Result:
     ascent_cap, perm_cap = _caps(args)
-    _check_length(args.n, ascent_cap)  # both caps before either search
-    _check_length(args.n, perm_cap)
+    _check_length(args.n, ascent_cap, perm_cap)  # both caps before either search
     tables = {"A021": _joint_table(_AscentTable, args.n, (PATTERN_021,), ascent_cap),
               "S132": _joint_table(_PermTable, args.n, (PATTERN_132,), perm_cap)}
     diff = tables["A021"].difference(tables["S132"])
@@ -282,8 +283,7 @@ def _cmd_verify(args) -> Result:
     # the passes stop at the first n over a cap; fail there before any pass
     first_over = min([args.n_max, *(cap + 1 for cap in (ascent_cap, perm_cap)
                                     if cap is not None)])
-    _check_length(first_over, ascent_cap)
-    _check_length(first_over, perm_cap)
+    _check_length(first_over, ascent_cap, perm_cap)
     catalan(args.n_max)  # past its table the last pass would fail: fail before the first
     reports = []
     for n in range(1, args.n_max + 1):

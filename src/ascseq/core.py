@@ -18,7 +18,8 @@ string ("010122").  Output always uses the spaced form.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 EMPTY_TEXT = "ε"
 
@@ -189,3 +190,15 @@ def format_seq(values: Sequence[int]) -> str:
     if not values:
         return EMPTY_TEXT
     return " ".join(map(str, values))
+
+
+def format_seqs(objects: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """`format_seq` of each tuple of ints in turn, lazily.  Each run of
+    tuples of one length n goes through one `%` format, "%d" n times or "ε",
+    so a listing costs no Python call per object.
+
+    >>> list(format_seqs([(0, 10, -1), (1, 2, 3), (), (7,)]))
+    ['0 10 -1', '1 2 3', 'ε', '7']
+    """
+    for n, run in groupby(objects, len):
+        yield from map((" ".join(["%d"] * n) or EMPTY_TEXT).__mod__, run)

@@ -67,7 +67,7 @@ from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
-from .core import format_seq, is_ascent_sequence, is_permutation, validate_permutation
+from .core import format_seq, is_ascent_sequence, validate_permutation
 from .patterns import (
     PATTERN_021,
     PATTERN_132,
@@ -105,13 +105,15 @@ def catalan(n: int) -> int:
     return _CATALAN[n]
 
 
-def _check_length(n: int, cap: int | None) -> None:
+def _check_length(n: int, *caps: int | None) -> None:
+    """Refuse a negative length, then a length over each cap in turn."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    if cap is not None and n > cap:
-        raise ValueError(
-            f"length {n} exceeds the enumeration cap {cap}; "
-            f"pass cap=None (CLI: --max-n-override) to force")
+    for cap in caps:
+        if cap is not None and n > cap:
+            raise ValueError(
+                f"length {n} exceeds the enumeration cap {cap}; "
+                f"pass cap=None (CLI: --max-n-override) to force")
 
 
 # ------------------------------------------------------------ avoidance state
@@ -484,8 +486,12 @@ def _tally(tree, roots: list, width: int = 0) -> int:
                 children = tree.children(node)
                 # a child at the last depth is counted, never keyed
                 if tree.search[2] and depth + 1 < last_depth:
-                    children = [(child[0], _front(tree.search, child[1], node[1]), *child[2:])
-                                for child in children]
+                    # `_AscentTable` children in a row can share one level tuple: cut it once
+                    grown = cut = None
+                    for i, child in enumerate(children):
+                        if child[1][1] is not grown:
+                            grown, cut = child[1][1], _front(tree.search, child[1], node[1])[1]
+                        children[i] = (child[0], (child[1][0], cut), *child[2:])
                 stack.append([key, children, 0, shift])
 
 
@@ -611,6 +617,41 @@ class EquidistributionReport:
     failure: str | None
 
 
+def _avoider_stats(image, n: int) -> tuple[int, int] | None:
+    """(asc, rlm) of `image` if it is a 132-avoiding permutation of 1..n,
+    else None, in one right-to-left pass.
+
+    The stack and `third` are those of `patterns._first_021`'s first pass,
+    so an entry below `third` starts a 132; `third` starts at 0, so an entry
+    below 0 is refused too.  Each other entry up to n sets its bit in
+    `seen`, and n entries that set exactly the bits of 1..n are a
+    permutation.  The stack starts with n + 1, above every entry, and its
+    top is the entry to the right: an entry below it is an ascent, and a
+    minimum too if it is below every entry to its right.  The n + 1 counts
+    as one ascent too many, after the last entry.
+    """
+    if len(image) != n:
+        return None
+    seen = third = ascents = minima = 0
+    low, stack = n + 1, [n + 1]
+    for v in reversed(image):
+        if v < third or v > n:
+            return None
+        seen |= 1 << v
+        if v < stack[-1]:
+            ascents += 1
+            if v < low:
+                low = v
+                minima += 1
+        else:  # the stack holds only entries above `third`, largest at the bottom
+            while stack[-1] < v:
+                third = stack.pop()
+        stack.append(v)
+    if seen != (2 << n) - 2:
+        return None
+    return (ascents - 1, minima) if n else (0, 0)
+
+
 def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
                             perm_cap: int | None = PERM_CAP) -> EquidistributionReport:
     """Check everything the equidistribution theorem promises at length n.
@@ -624,12 +665,12 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     tables come from the memoized search (`_joint_table`), so (a) and (b)
     list nothing; (c) walks the stream of sequences once and keeps none of
     them, nor any permutation.  An image is in the family iff it is a
-    permutation of 1..n with no 132, and since every earlier image round-
-    trips, x repeats an earlier image iff the preimage of its image is an
-    earlier sequence that maps there too.
+    permutation of 1..n with no 132; one right-to-left pass over it
+    (`_avoider_stats`) decides that and gives its (asc, rlm).  Since every
+    earlier image round-trips, x repeats an earlier image iff the preimage
+    of its image is an earlier sequence that maps there too.
     """
-    _check_length(n, ascent_cap)
-    _check_length(n, perm_cap)
+    _check_length(n, ascent_cap, perm_cap)
     cat = catalan(n)
     table_a = _joint_table(_AscentTable, n, (PATTERN_021,), ascent_cap)
     table_p = _joint_table(_PermTable, n, (PATTERN_132,), perm_cap)
@@ -647,11 +688,12 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     else:
         for x in ascent_sequences_avoiding(n, (PATTERN_021,), cap=ascent_cap):
             image = _to_permutation(x)
-            if len(image) != n or not is_permutation(image) or _first_021(image):
+            stats = _avoider_stats(image, n)
+            if stats is None:
                 failure = (f"{format_seq(x)} maps to {format_seq(image)}, "
                            f"not a 132-avoiding permutation of length {n}")
                 break
-            if (asc(image), rlm(image)) != (asc(x), rlm(x)):
+            if stats != (asc(x), rlm(x)):
                 failure = (f"statistics change across the map on {format_seq(x)}: "
                            f"({asc(x)}, {rlm(x)}) -> ({asc(image)}, {rlm(image)})")
                 break

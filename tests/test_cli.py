@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, byte stability."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from ascseq import format_seq, permutations_avoiding
 from ascseq.cli import main
 
 
@@ -71,6 +73,38 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "ascent", "25")
         assert code == 2
         assert "cap" in err
+
+
+class TestListingBytes:
+    """Listings print each object through one `%` format per length; the
+    bytes are those of `format_seq`, object by object."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("enumerate", "perm", "9", "--avoid", "132", "--format", "csv"),
+         "fb0cf1ff632aecb720d83fe76548cf0ec2d0140cbb28a4af8d817f942d495e12"),
+        (("enumerate", "ascent", "11", "--avoid", "021", "--format", "csv"),
+         "90ebf1103fe56e3a2d5669508ba8382c80701eadf4c7e5aa967400e302f85aa4"),
+    ], ids=["S9(132)", "A11(021)"])
+    def test_pinned_digests(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_two_digit_entries_match_format_seq(self, capsys):
+        # entries reach 10, so a digit-per-entry shortcut would show here
+        texts = [format_seq(p) for p in permutations_avoiding(10, [(1, 3, 2)])]
+        assert len(texts) == 16796 and any(" 10" in t for t in texts)
+        _, out, _ = run(capsys, "enumerate", "perm", "10", "--avoid", "132")
+        assert out.splitlines() == texts
+        _, out, _ = run(capsys, "enumerate", "perm", "10", "--avoid", "132",
+                        "--format", "csv")
+        assert out.splitlines() == ["object", *texts]
+
+    @pytest.mark.parametrize("kind", ["ascent", "perm"])
+    @pytest.mark.parametrize("fmt, expected", [("plain", "ε\n"), ("csv", "object\nε\n")])
+    def test_length_zero_prints_epsilon(self, capsys, kind, fmt, expected):
+        code, out, err = run(capsys, "enumerate", kind, "0", "--format", fmt)
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestCount:

@@ -26,7 +26,7 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from ascseq.core import is_ascent_sequence
+from ascseq.core import is_ascent_sequence, is_permutation
 from ascseq.enumeration import (
     ASCENT_CAP,
     PERM_CAP,
@@ -34,6 +34,7 @@ from ascseq.enumeration import (
     _advance,
     _AscentSearch,
     _AscentTable,
+    _avoider_stats,
     _bits,
     _compile,
     _forbid,
@@ -43,6 +44,7 @@ from ascseq.enumeration import (
     _PermTable,
 )
 from ascseq.patterns import _first_021
+from ascseq.stats import asc, rlm
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
 # whose equal letters are not adjacent
@@ -355,6 +357,26 @@ class TestFullStates:
                    for p in objects)
         # neither a dead end nor a child of length 8 gets levels
         assert built <= 7071
+
+
+class TestFrontCuts:
+    """`_AscentTable` makes two children per value, declared minimum or not,
+    that share one level tuple; a count cuts each such tuple to its front
+    once.  At n = 20 that is 13,552 cuts, where one per child made 17,379."""
+
+    def test_no_more_cuts_than_grown_levels(self, monkeypatch):
+        import ascseq.enumeration as enumeration
+        perms = _joint_table(_PermTable, 20, [(1, 3, 2)], None)
+        calls = {"_grow": 0, "_front": 0}
+        for name in calls:
+            def counted(*args, real=getattr(enumeration, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        table = _joint_table(_AscentTable, 20, [(0, 2, 1)], None)
+        assert table == perms and table.total == catalan(20)
+        assert 0 < calls["_front"] <= calls["_grow"]
 
 
 class TestPatternsLongerThanN:
@@ -685,6 +707,16 @@ class TestVerifyEquidistribution:
         assert report.failure == (f"0 1 0 maps to {text}, "
                                   "not a 132-avoiding permutation of length 3")
         assert not report.passed
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_pass_image_check(self, n):
+        # every word over -1..n+1 of length <= 6: wrong lengths, repeats,
+        # 0 and n + 1 included, against the separate checks
+        for length in range(7):
+            for word in itertools.product(range(-1, n + 2), repeat=length):
+                member = len(word) == n and is_permutation(word) and not _first_021(word)
+                assert _avoider_stats(word, n) == ((asc(word), rlm(word)) if member
+                                                   else None), word
 
     @pytest.mark.parametrize("redirect", [{(0, 0, 1): (0, 1, 1), (0, 1, 1): (0, 0, 1)},
                                           {(0, 0, 1): (0, 1, 1)}],
