@@ -621,14 +621,14 @@ def _avoider_stats(image, n: int) -> tuple[int, int] | None:
     """(asc, rlm) of `image` if it is a 132-avoiding permutation of 1..n,
     else None, in one right-to-left pass.
 
-    The stack and `third` are those of `patterns._first_021`'s first pass,
-    so an entry below `third` starts a 132; `third` starts at 0, so an entry
-    below 0 is refused too.  Each other entry up to n sets its bit in
-    `seen`, and n entries that set exactly the bits of 1..n are a
-    permutation.  The stack starts with n + 1, above every entry, and its
-    top is the entry to the right: an entry below it is an ascent, and a
-    minimum too if it is below every entry to its right.  The n + 1 counts
-    as one ascent too many, after the last entry.
+    An entry below `third` starts a 132 (the stack and `third` are those of
+    `patterns._first_021`'s first pass); as `third` starts at 0, entries
+    below 0 are refused too.  An entry above n is refused, and each other
+    one sets its bit in `seen`: n entries that set exactly the bits of 1..n
+    are a permutation of 1..n.  The stack starts with n + 1, above every
+    entry, and its top is the entry to the right: an entry below it is an
+    ascent, and a minimum too if it is below every entry to its right.  The
+    n + 1 counts as one ascent too many, after the last entry.
     """
     if len(image) != n:
         return None
