@@ -71,6 +71,7 @@ from .core import format_seq, is_ascent_sequence, validate_permutation
 from .patterns import (
     PATTERN_021,
     PATTERN_132,
+    _avoider_stats,
     _first_021,
     _neighbours,
     validate_word_pattern,
@@ -617,41 +618,6 @@ class EquidistributionReport:
     failure: str | None
 
 
-def _avoider_stats(image, n: int) -> tuple[int, int] | None:
-    """(asc, rlm) of `image` if it is a 132-avoiding permutation of 1..n,
-    else None, in one right-to-left pass.
-
-    An entry below `third` starts a 132 (the stack and `third` are those of
-    `patterns._first_021`'s first pass); as `third` starts at 0, entries
-    below 0 are refused too.  An entry above n is refused, and each other
-    one sets its bit in `seen`: n entries that set exactly the bits of 1..n
-    are a permutation of 1..n.  The stack starts with n + 1, above every
-    entry, and its top is the entry to the right: an entry below it is an
-    ascent, and a minimum too if it is below every entry to its right.  The
-    n + 1 counts as one ascent too many, after the last entry.
-    """
-    if len(image) != n:
-        return None
-    seen = third = ascents = minima = 0
-    low, stack = n + 1, [n + 1]
-    for v in reversed(image):
-        if v < third or v > n:
-            return None
-        seen |= 1 << v
-        if v < stack[-1]:
-            ascents += 1
-            if v < low:
-                low = v
-                minima += 1
-        else:  # the stack holds only entries above `third`, largest at the bottom
-            while stack[-1] < v:
-                third = stack.pop()
-        stack.append(v)
-    if seen != (2 << n) - 2:
-        return None
-    return (ascents - 1, minima) if n else (0, 0)
-
-
 def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
                             perm_cap: int | None = PERM_CAP) -> EquidistributionReport:
     """Check everything the equidistribution theorem promises at length n.
@@ -666,9 +632,9 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     list nothing; (c) walks the stream of sequences once and keeps none of
     them, nor any permutation.  An image is in the family iff it is a
     permutation of 1..n with no 132; one right-to-left pass over it
-    (`_avoider_stats`) decides that and gives its (asc, rlm).  Since every
-    earlier image round-trips, x repeats an earlier image iff the preimage
-    of its image is an earlier sequence that maps there too.
+    (`patterns._avoider_stats`) decides that and gives its (asc, rlm).
+    Since every earlier image round-trips, x repeats an earlier image iff
+    the preimage of its image is an earlier sequence that maps there too.
     """
     _check_length(n, ascent_cap, perm_cap)
     cat = catalan(n)

@@ -19,9 +19,13 @@ and in memory linear in the pattern's length.  It lists occurrences
 on permutations, which have one shape (positions i < j < k with
 x_i < x_k < x_j), `_first_021` finds it in O(n); every other pattern takes
 the search's first hit.  The two agree position for position, which the test
-suite checks exhaustively at small lengths.  A 021-avoiding ascent sequence
-is also one whose nonzero entries weakly increase
-(`nonzero_weakly_increasing`, the Duncan-Steingrimsson characterization).
+suite checks exhaustively at small lengths.  `_avoider_stats` runs the first
+pass of `_first_021` alone, to decide in one pass that a word is a
+132-avoiding permutation of 1..n and read its (asc, rlm) on the way; the
+verification harness checks every image of the bijection with it.  A
+021-avoiding ascent sequence is also one whose nonzero entries weakly
+increase (`nonzero_weakly_increasing`, the Duncan-Steingrimsson
+characterization).
 """
 
 from __future__ import annotations
@@ -180,6 +184,41 @@ def _first_021(seq: Sequence[int]) -> tuple[int, int, int] | None:
     high = seq[middle]
     k = next(pos for pos in range(middle + 1, n) if low < seq[pos] < high)
     return first + 1, middle + 1, k + 1
+
+
+def _avoider_stats(image, n: int) -> tuple[int, int] | None:
+    """(asc, rlm) of `image` if it is a 132-avoiding permutation of 1..n,
+    else None, in one right-to-left pass.
+
+    An entry below `third` starts a 132 (the stack and `third` are those of
+    `_first_021`'s first pass); as `third` starts at 0, entries below 0 are
+    refused too.  An entry above n is refused, and each other one sets its
+    bit in `seen`: n entries that set exactly the bits of 1..n are a
+    permutation of 1..n.  The stack starts with n + 1, above every entry,
+    and its top is the entry to the right: an entry below it is an ascent,
+    and a minimum too if it is below every entry to its right.  The n + 1
+    counts as one ascent too many, after the last entry.
+    """
+    if len(image) != n:
+        return None
+    seen = third = ascents = minima = 0
+    low, stack = n + 1, [n + 1]
+    for v in reversed(image):
+        if v < third or v > n:
+            return None
+        seen |= 1 << v
+        if v < stack[-1]:
+            ascents += 1
+            if v < low:
+                low = v
+                minima += 1
+        else:  # the stack holds only entries above `third`, largest at the bottom
+            while stack[-1] < v:
+                third = stack.pop()
+        stack.append(v)
+    if seen != (2 << n) - 2:
+        return None
+    return (ascents - 1, minima) if n else (0, 0)
 
 
 def _first_occurrence(seq: Sequence[int],

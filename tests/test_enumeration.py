@@ -34,7 +34,6 @@ from ascseq.enumeration import (
     _advance,
     _AscentSearch,
     _AscentTable,
-    _avoider_stats,
     _bits,
     _compile,
     _forbid,
@@ -43,7 +42,7 @@ from ascseq.enumeration import (
     _PermSearch,
     _PermTable,
 )
-from ascseq.patterns import _first_021
+from ascseq.patterns import _avoider_stats, _first_021
 from ascseq.stats import asc, rlm
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
