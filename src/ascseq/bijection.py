@@ -43,7 +43,9 @@ test suite's reference.
 Every public entry point checks its input's domain through `_checked_ascent`
 or `_checked_perm`, the one place each family's domain is decided, and then
 does its one step in its own body; a join checks its left part fully before
-its right part.
+its right part.  Both checks validate the family first, then refuse the one
+forbidden shape, i < j < k with x_i < x_k < x_j, through the same helper
+(`patterns._require_no_021`); its error names the first occurrence.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import ValidationError, validate_ascent_sequence, validate_permutation
-from .patterns import PATTERN_021, PATTERN_132, require_avoids_perm, require_avoids_word
+from .patterns import PATTERN_021, PATTERN_132, _require_no_021
 from .stats import _special_run, asc
 
 
@@ -83,16 +85,12 @@ class PermSplit:
 
 def _checked_ascent(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a validated 021-avoiding ascent sequence."""
-    x = validate_ascent_sequence(values)
-    require_avoids_word(x, PATTERN_021)
-    return x
+    return _require_no_021(validate_ascent_sequence(values), "sequence", PATTERN_021)
 
 
 def _checked_perm(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a validated 132-avoiding permutation."""
-    p = validate_permutation(values)
-    require_avoids_perm(p, PATTERN_132)
-    return p
+    return _require_no_021(validate_permutation(values), "permutation", PATTERN_132)
 
 
 def split_ascent_sequence(seq: Iterable[int]) -> AscentSplit:

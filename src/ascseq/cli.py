@@ -256,7 +256,7 @@ def _cmd_distribution(args) -> Result:
                 yield f"  asc {a} rlm {r} count {count}"
         if diff:
             yield "difference:"
-            for (a, r), delta in sorted(diff.items()):
+            for (a, r), delta in diff.items():
                 yield f"  asc {a} rlm {r} delta {delta}"
         else:
             yield "difference none"
@@ -268,7 +268,7 @@ def _cmd_distribution(args) -> Result:
             "n": args.n,
             "families": {family: [[a, r, count] for (a, r), count in table.sorted_items()]
                          for family, table in tables.items()},
-            "difference": [[a, r, delta] for (a, r), delta in sorted(diff.items())],
+            "difference": [[a, r, delta] for (a, r), delta in diff.items()],
             "verdict": verdict,
         }),
         ["n", "family", "asc", "rlm", "count"],

@@ -6,8 +6,8 @@ pattern of length k and each l < k - 1, the state keeps the distinct value
 tuples of the prefix that realise pattern[:l].  A realised (k-1)-tuple can
 only forbid the values that would complete it, an open interval or a single
 value, so those are kept as one bitmask of forbidden next values.  Appending
-a value updates the state once (`_advance`); no candidate re-scans the
-prefix.  Containment survives every extension, so a forbidden value is never
+a value updates the state once; no candidate re-scans the prefix.
+Containment survives every extension, so a forbidden value is never
 appended.  A permutation prefix is also dropped as soon as an unused value
 is forbidden: that value has to come later, and then it completes an
 occurrence.
@@ -184,7 +184,8 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
 
 
 def _forbid(search, state, v: int) -> int:
-    """The mask half of `_advance`: the forbidden mask after appending v.
+    """The mask half of the transition: the forbidden mask of a prefix with
+    state `state` after appending v.
 
     Only the last levels are read.  Each of their tuples that v extends
     realises all of its pattern but the last letter, and forbids the values
@@ -207,10 +208,11 @@ def _forbid(search, state, v: int) -> int:
 
 
 def _grow(search, levels: tuple, v: int) -> tuple:
-    """The level half of `_advance`: the levels after appending v.
+    """The level half of the transition: the levels after appending v.
 
     Each tuple that v extends, on a level other than its pattern's last,
-    moves up one level, unless no value is left between its new bounds.
+    moves up one level, unless no value is left between its new bounds; a
+    tuple on a pattern's last level forbids values instead (`_forbid`).
     """
     (grows, _), top, _ = search
     grown: dict[int, set] = {}
@@ -232,19 +234,8 @@ def _grow(search, levels: tuple, v: int) -> tuple:
                  for q, entries in enumerate(levels))
 
 
-def _advance(search, state, v: int):
-    """The state of a prefix with state `state` after appending v: the mask
-    half (`_forbid`) and the level half (`_grow`).
-
-    Each realisation the new entry extends moves up one level, or, from the
-    last level, adds the values that would complete it to `forbidden`.
-    Tuples no value can extend are dropped.
-    """
-    return _forbid(search, state, v), _grow(search, state[1], v)
-
-
-def _front(search, state, parent):
-    """`state` with each level cut to its front: the tuples no other tuple
+def _front(search, levels: tuple, parent: tuple) -> tuple:
+    """`levels` with each level cut to its front: the tuples no other tuple
     of the level dominates, with their free slots zeroed.
 
     t dominates t' when it is <= on every lower slot, >= on every upper slot
@@ -252,17 +243,16 @@ def _front(search, state, parent):
     the role's signs) is <= in every place.  Every letter still to come then
     has looser bounds through t than through t', so each interval t' will
     ever forbid lies inside one t forbids, and dropping t' changes no mask.
-    Free slots are never read again.  `parent` is the state `state` was
-    advanced from; its levels are fronts already, so only the tuples
-    `_advance` added are checked, and a level they leave unchanged is the
-    parent's own.
+    Free slots are never read again, and the mask needs no cut.  `parent`
+    holds the levels `_grow` grew `levels` from; they are fronts already,
+    so only the tuples `_grow` added are checked, and a level they leave
+    unchanged is the parent's own.
     """
-    forbidden, levels = state
     cut = list(levels)
     for q, role in search[2]:
-        if levels[q] is not parent[1][q]:
-            cut[q] = _level_front(role, levels[q], parent[1][q])
-    return forbidden, tuple(cut)
+        if levels[q] is not parent[q]:
+            cut[q] = _level_front(role, levels[q], parent[q])
+    return tuple(cut)
 
 
 def _level_front(role, entries: frozenset, kept: frozenset) -> frozenset:
@@ -491,7 +481,7 @@ def _tally(tree, roots: list, width: int = 0) -> int:
                     grown = cut = None
                     for i, child in enumerate(children):
                         if child[1][1] is not grown:
-                            grown, cut = child[1][1], _front(tree.search, child[1], node[1])[1]
+                            grown, cut = child[1][1], _front(tree.search, child[1][1], node[1][1])
                         children[i] = (child[0], (child[1][0], cut), *child[2:])
                 stack.append([key, children, 0, shift])
 
@@ -557,7 +547,8 @@ class JointDistribution:
     total: int
 
     def difference(self, other: "JointDistribution") -> dict[tuple[int, int], int]:
-        """Entry-wise count difference self - other; zero entries dropped."""
+        """Entry-wise count difference self - other, zero entries dropped, with
+        the keys in ascending order (the CLI and verify read them in order)."""
         out = {}
         for key in sorted(set(self.entries) | set(other.entries)):
             d = self.entries.get(key, 0) - other.entries.get(key, 0)
@@ -661,7 +652,7 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
                 break
             if stats != (asc(x), rlm(x)):
                 failure = (f"statistics change across the map on {format_seq(x)}: "
-                           f"({asc(x)}, {rlm(x)}) -> ({asc(image)}, {rlm(image)})")
+                           f"({asc(x)}, {rlm(x)}) -> {stats}")
                 break
             back = _to_ascent(image)
             if back != x:  # an earlier sequence with this image round-trips to `back`

@@ -14,18 +14,19 @@ and tests each candidate entry against the two entries at those positions
 only, in O(1).  It keeps one iterator of candidate positions per placed
 letter on an explicit stack, so patterns of any length run without recursion
 and in memory linear in the pattern's length.  It lists occurrences
-(`occurrences_*`, `iter_occurrences_*`).  The yes/no questions (`avoids_*`,
-`require_avoids_*`) need only the first occurrence.  For 021 on words and 132
-on permutations, which have one shape (positions i < j < k with
-x_i < x_k < x_j), `_first_021` finds it in O(n); every other pattern takes
-the search's first hit.  The two agree position for position, which the test
-suite checks exhaustively at small lengths.  `_avoider_stats` runs the first
-pass of `_first_021` alone, to decide in one pass that a word is a
-132-avoiding permutation of 1..n and read its (asc, rlm) on the way; the
-verification harness checks every image of the bijection with it.  A
-021-avoiding ascent sequence is also one whose nonzero entries weakly
-increase (`nonzero_weakly_increasing`, the Duncan-Steingrimsson
-characterization).
+(`occurrences_*`, `iter_occurrences_*`).  The yes/no questions (`avoids_*`)
+need only the first occurrence.  For 021 on words and 132 on permutations,
+which have one shape (positions i < j < k with x_i < x_k < x_j), `_first_021`
+finds it in O(n); every other pattern takes the search's first hit.  The two
+agree position for position, which the test suite checks exhaustively at
+small lengths.  The bijection's domain check (`_require_no_021`) asks only
+for that shape, so it calls `_first_021` for both families.
+`_avoider_stats` runs the first pass of `_first_021` alone, to decide in one
+pass that a word is a 132-avoiding permutation of 1..n and read its
+(asc, rlm) on the way; the verification harness checks every image of the
+bijection with it.  A 021-avoiding ascent sequence is also one whose nonzero
+entries weakly increase (`nonzero_weakly_increasing`, the
+Duncan-Steingrimsson characterization).
 """
 
 from __future__ import annotations
@@ -186,6 +187,20 @@ def _first_021(seq: Sequence[int]) -> tuple[int, int, int] | None:
     return first + 1, middle + 1, k + 1
 
 
+def _require_no_021(seq: tuple[int, ...], noun: str,
+                    pattern: tuple[int, int, int]) -> tuple[int, ...]:
+    """`seq`, if it has no i < j < k with x_i < x_k < x_j: no 021 in a word,
+    no 132 in a permutation.  Else raise PatternContainedError naming the
+    `noun`, the `pattern` and its first occurrence (`_first_021`).
+    """
+    hit = _first_021(seq)
+    if hit is not None:
+        raise PatternContainedError(
+            f"{noun} contains {pattern_text(pattern)} at positions {hit}",
+            pattern=pattern, occurrence=hit)
+    return seq
+
+
 def _avoider_stats(image, n: int) -> tuple[int, int] | None:
     """(asc, rlm) of `image` if it is a 132-avoiding permutation of 1..n,
     else None, in one right-to-left pass.
@@ -223,8 +238,8 @@ def _avoider_stats(image, n: int) -> tuple[int, int] | None:
 
 def _first_occurrence(seq: Sequence[int],
                       pattern: Sequence[int]) -> tuple[int, ...] | None:
-    """The lexicographically first occurrence, or None: the one place that
-    picks the O(n) scan for 021/132 over the general search."""
+    """The lexicographically first occurrence, or None, for `avoids_*`: the
+    O(n) scan for 021/132, else the general search's first hit."""
     if len(pattern) == 3 and pattern[0] < pattern[2] < pattern[1]:
         return _first_021(seq)
     return next(_iter_occurrences(seq, pattern), None)
@@ -292,21 +307,3 @@ def nonzero_weakly_increasing(seq: Iterable[int]) -> bool:
             return False
         prev = v
     return True
-
-
-def require_avoids_word(seq: Sequence[int], pattern: Sequence[int]) -> None:
-    """Raise PatternContainedError if the sequence contains the word pattern."""
-    hit = _first_occurrence(seq, pattern)
-    if hit is not None:
-        raise PatternContainedError(
-            f"sequence contains {pattern_text(pattern)} at positions {hit}",
-            pattern=tuple(pattern), occurrence=hit)
-
-
-def require_avoids_perm(perm: Sequence[int], pattern: Sequence[int]) -> None:
-    """Raise PatternContainedError if the permutation contains the pattern."""
-    hit = _first_occurrence(perm, pattern)
-    if hit is not None:
-        raise PatternContainedError(
-            f"permutation contains {pattern_text(pattern)} at positions {hit}",
-            pattern=tuple(pattern), occurrence=hit)

@@ -1,4 +1,8 @@
-"""The public API is `ascseq.__all__`: its names are fixed and all resolve."""
+"""The public API is `ascseq.__all__`: its names are fixed and all resolve.
+Every private function or class in `src/` serves `src/`."""
+
+import ast
+from pathlib import Path
 
 import ascseq
 
@@ -27,3 +31,23 @@ def test_all_is_fixed():
 def test_every_public_name_resolves():
     for name in ascseq.__all__:
         assert hasattr(ascseq, name), name
+
+
+def test_every_private_definition_is_used_in_src():
+    # a private function or class that nothing in src/ reads is test-only
+    # code; it belongs in tests/ (see tests/oracles.py)
+    src = Path(ascseq.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined - used) == []

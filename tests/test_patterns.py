@@ -22,7 +22,7 @@ from ascseq import (
     occurrences_word,
     validate_word_pattern,
 )
-from ascseq.patterns import _first_021, require_avoids_perm, require_avoids_word
+from ascseq.patterns import _first_021, _require_no_021
 
 # the longer ones have nearest earlier neighbours away from the previous
 # letter, and equal letters that are not adjacent
@@ -140,23 +140,31 @@ class TestFirst021:
                     next(iter_brute_occurrences(perm, (1, 3, 2)), None)
 
     def test_domain_errors_name_the_first_occurrence(self):
+        # one check serves both families: it names the family, the pattern
+        # and the first occurrence, or gives the input back
         for n in range(3, 7):
             for word in itertools.product(range(4), repeat=n):
                 occ = occurrences_word(word, (0, 2, 1))
                 assert avoids_word(word, (0, 2, 1)) == (not occ)
-                if occ:
-                    with pytest.raises(PatternContainedError) as exc:
-                        require_avoids_word(word, (0, 2, 1))
-                    assert exc.value.occurrence == occ[0]
-                    assert str(exc.value) == \
-                        f"sequence contains 021 at positions {occ[0]}"
+                if not occ:
+                    assert _require_no_021(word, "sequence", (0, 2, 1)) is word
+                    continue
+                with pytest.raises(PatternContainedError) as exc:
+                    _require_no_021(word, "sequence", (0, 2, 1))
+                assert str(exc.value) == f"sequence contains 021 at positions {occ[0]}"
+                assert exc.value.pattern == (0, 2, 1)
+                assert exc.value.occurrence == occ[0]
             for perm in itertools.permutations(range(1, n + 1)):
                 occ = occurrences_perm(perm, (1, 3, 2))
                 assert avoids_perm(perm, (1, 3, 2)) == (not occ)
-                if occ:
-                    with pytest.raises(PatternContainedError) as exc:
-                        require_avoids_perm(perm, (1, 3, 2))
-                    assert exc.value.occurrence == occ[0]
+                if not occ:
+                    assert _require_no_021(perm, "permutation", (1, 3, 2)) is perm
+                    continue
+                with pytest.raises(PatternContainedError) as exc:
+                    _require_no_021(perm, "permutation", (1, 3, 2))
+                assert str(exc.value) == f"permutation contains 132 at positions {occ[0]}"
+                assert exc.value.pattern == (1, 3, 2)
+                assert exc.value.occurrence == occ[0]
 
     def test_long_staircase_and_identity(self):
         # the search is cubic on these (about 1 s already at length 400); the scan is linear
