@@ -39,8 +39,8 @@ class AscentSequenceError(ValidationError):
         index:  1-based position of the first violating entry.
         bound:  largest value that entry could legally take, or None when the
                 violation is not about the ascent bound.
-        reason: "first_entry_nonzero", "negative_entry", or
-                "ascent_bound_exceeded".
+        reason: "non_integer_entry", "first_entry_nonzero",
+                "negative_entry", or "ascent_bound_exceeded".
     """
 
     def __init__(self, message: str, *, index: int, bound: int | None, reason: str):
@@ -71,15 +71,16 @@ def validate_ascent_sequence(values: Iterable[int]) -> tuple[int, ...]:
     (0, 1, 0, 1, 2, 2)
     """
     seq = tuple(values)
-    if not seq:
-        return seq
-    if seq[0] != 0:
-        raise AscentSequenceError(
-            f"entry 1 is {seq[0]}, but an ascent sequence must start with 0",
-            index=1, bound=0, reason="first_entry_nonzero")
     ascents = 0
-    for i in range(1, len(seq)):
-        v = seq[i]
+    for i, v in enumerate(seq):
+        if not isinstance(v, int):  # bools are ints, and pass
+            raise AscentSequenceError(
+                f"entry {i + 1} is {v!r}; entries must be integers",
+                index=i + 1, bound=None, reason="non_integer_entry")
+        if not i and v != 0:
+            raise AscentSequenceError(
+                f"entry 1 is {v}, but an ascent sequence must start with 0",
+                index=1, bound=0, reason="first_entry_nonzero")
         if v < 0:
             raise AscentSequenceError(
                 f"entry {i + 1} is {v}; entries must be nonnegative",
@@ -89,7 +90,7 @@ def validate_ascent_sequence(values: Iterable[int]) -> tuple[int, ...]:
             raise AscentSequenceError(
                 f"entry {i + 1} is {v}, which exceeds the ascent bound {bound}",
                 index=i + 1, bound=bound, reason="ascent_bound_exceeded")
-        if v > seq[i - 1]:
+        if i and v > seq[i - 1]:
             ascents += 1
     return seq
 
@@ -111,7 +112,9 @@ def validate_permutation(values: Iterable[int]) -> tuple[int, ...]:
     seq = tuple(values)
     n = len(seq)
     seen: set[int] = set()
-    for v in seq:
+    for i, v in enumerate(seq, 1):
+        if not isinstance(v, int):
+            raise PermutationError(f"entry {i} is {v!r}; entries must be integers")
         if v in seen:
             raise PermutationError(
                 f"value {v} occurs more than once", duplicate=v)

@@ -21,18 +21,22 @@ tested for a dead end on its mask before its levels are built.
 
 Streams walk the tree with an explicit stack, in lexicographic order with no
 duplicates, and build the levels of each node they expand exactly once.
-Counts run the same transition over the same tree, but memoize the number of
-objects below each node on a canonical key: (depth, ascents, last entry,
-state) for ascent sequences, and (entries left, state) for permutations,
-with each used value replaced by the number of unused values below it, which
-is all the rest of the search can see.  Before a count keys a node, it cuts
-the node's state to its front (`_front`): a realised tuple that bounds every
-letter still to come at least as tightly as another one can never forbid a
-value the other does not, so it is dropped.  For 021 and 132 the front keeps
+Counts walk the same tree, but memoize the number of objects below each
+node on a canonical key: (depth, ascents, last entry, state) for ascent
+sequences, and (entries left, state) for permutations, with each used value
+replaced by the number of unused values below it, which is all the rest of
+the search can see.  Their transition is compiled with `cut`, so that each
+level of a state is its front (`_level_front`): a realised tuple that bounds
+every letter still to come at least as tightly as another one can never
+forbid a value the other does not, so `_grow` drops it as it builds the
+child, and the key sees only the front.  For 021 and 132 the front keeps
 one realised first letter, and the counts reach n = 30 in well under a
-second.  Streams visit each node once, have no memo to gain from, and keep
-the uncut state.  So a count does not list its objects; the test suite
-checks counts against listings exhaustively at small n.
+second.  Streams visit each node once and have no memo to shrink, so they
+keep the plain transition: the dominance tests cost more than the dropped
+tuples save, and cutting streams too made the walks of S_8(2413) and
+S_8(25314) about 1.7-1.8 times slower.  So a count does not list its
+objects; the test suite checks counts against listings exhaustively at
+small n.
 
 The joint (asc, rlm) tables of the paper's theorem come from the same
 memoized tally with a weight on each entry (`_joint_table`): a memo value is
@@ -49,10 +53,11 @@ walks the stream of sequences once and keeps neither family.
 
 All four entry points and `_joint_table` share one front end, `_search`:
 it validates the patterns and checks the length cap at the call, leaves out
-the patterns longer than n, which cannot occur, then hands the tree and the
-nodes to start from to `_walk` (a lazy stream) or `_tally` (a count or a
-table).  At n = 0 the root itself is the one object; the empty pattern,
-which occurs in everything, leaves no node to start from.
+the patterns longer than n, which cannot occur, compiles the rest (with the
+cut for a count or a table), then hands the tree and the nodes to start from
+to `_walk` (a lazy stream) or `_tally` (a count or a table).  At n = 0 the
+root itself is the one object; the empty pattern, which occurs in
+everything, leaves no node to start from.
 
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
 are capped by default (20 for ascent sequences, 13 for permutations) purely
@@ -67,7 +72,7 @@ from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bijection import _to_ascent, _to_permutation
-from .core import format_seq, is_ascent_sequence, validate_permutation
+from .core import ValidationError, format_seq, is_ascent_sequence, validate_permutation
 from .patterns import (
     PATTERN_021,
     PATTERN_132,
@@ -96,23 +101,26 @@ _CATALAN = _catalan_table(CATALAN_MAX)
 def catalan(n: int) -> int:
     """The n-th Catalan number, by the convolution recurrence.
 
-    Supported for 0 <= n <= 30.
+    Supported for integers 0 <= n <= 30.
 
     >>> [catalan(n) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    if not 0 <= n <= CATALAN_MAX:
-        raise ValueError(f"catalan(n) supports 0 <= n <= {CATALAN_MAX}, got {n}")
+    if not (isinstance(n, int) and 0 <= n <= CATALAN_MAX):
+        raise ValidationError(f"catalan(n) supports 0 <= n <= {CATALAN_MAX}, got {n}")
     return _CATALAN[n]
 
 
 def _check_length(n: int, *caps: int | None) -> None:
-    """Refuse a negative length, then a length over each cap in turn."""
+    """Refuse a length that is not an int, then a negative one, then one
+    over each cap in turn."""
+    if not isinstance(n, int):  # bools are ints, and pass
+        raise ValidationError(f"length must be an integer, got {n!r}")
     if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
+        raise ValidationError(f"length must be nonnegative, got {n}")
     for cap in caps:
         if cap is not None and n > cap:
-            raise ValueError(
+            raise ValidationError(
                 f"length {n} exceeds the enumeration cap {cap}; "
                 f"pass cap=None (CLI: --max-n-override) to force")
 
@@ -131,8 +139,9 @@ def _check_length(n: int, *caps: int | None) -> None:
 # The letters pattern[l:] read a tuple's slots through `_neighbours` too, so
 # each slot of a level has a role (`_roles`): lower, upper, fixed or free.
 # A tuple that is no higher on the lower slots, no lower on the upper slots
-# and equal on the fixed ones dominates the other, and a count keys each
-# node on its state cut to the undominated tuples (`_front`).
+# and equal on the fixed ones dominates the other.  A count's transition,
+# compiled with `cut`, keeps only each level's undominated tuples
+# (`_level_front`), so a count keys each node on that front.
 
 
 def _roles(neighbours, length: int):
@@ -154,7 +163,7 @@ def _roles(neighbours, length: int):
     return None if len(signs) == 2 * length else (signs, free)
 
 
-def _compile(patterns: Sequence[Sequence[int]], top: int):
+def _compile(patterns: Sequence[Sequence[int]], top: int, cut: bool = False):
     """The transition table for the patterns over values below `top`, and
     the state of the empty prefix.
 
@@ -162,7 +171,8 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
     tuple of level q, slots `below` and `above` of the longer tuple bound
     the letter after it.  The longer tuple moves up to level q + 1, except
     from a pattern's last level, whose plan is in `finals`: there it forbids
-    values instead.
+    values instead.  With `cut`, each level also keeps its role (`_roles`),
+    so that `_grow` keeps only its front; otherwise every role is None.
     """
     grows, finals, roles, levels, forbidden = [], [], [], [], 0
     for pattern in patterns:
@@ -175,9 +185,7 @@ def _compile(patterns: Sequence[Sequence[int]], top: int):
         for length in range(k - 1):
             plan = (len(levels), *neighbours[length + 1])
             (grows if length + 2 < k else finals).append(plan)
-            role = _roles(neighbours, length)
-            if role is not None:
-                roles.append((len(levels), role))
+            roles.append(_roles(neighbours, length) if cut else None)
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
     return ((tuple(grows), tuple(finals)), top, tuple(roles)), (forbidden, tuple(levels))
@@ -212,9 +220,11 @@ def _grow(search, levels: tuple, v: int) -> tuple:
 
     Each tuple that v extends, on a level other than its pattern's last,
     moves up one level, unless no value is left between its new bounds; a
-    tuple on a pattern's last level forbids values instead (`_forbid`).
+    tuple on a pattern's last level forbids values instead (`_forbid`).  The
+    tuples that reach a level merge into it through `_level_front`, which
+    keeps the level's front when the search was compiled with `cut`.
     """
-    (grows, _), top, _ = search
+    (grows, _), top, roles = search
     grown: dict[int, set] = {}
     for q, below, above in grows:
         for lo, hi, values in levels[q]:
@@ -230,37 +240,30 @@ def _grow(search, levels: tuple, v: int) -> tuple:
                 if hi - lo < 2:
                     continue
             grown.setdefault(q + 1, set()).add((lo, hi, values))
-    return tuple(entries | grown[q] if q in grown else entries
+    return tuple(_level_front(roles[q], grown[q], entries) if q in grown else entries
                  for q, entries in enumerate(levels))
 
 
-def _front(search, levels: tuple, parent: tuple) -> tuple:
-    """`levels` with each level cut to its front: the tuples no other tuple
-    of the level dominates, with their free slots zeroed.
+def _level_front(role, new: set, kept: frozenset) -> frozenset:
+    """The level `kept` with the tuples `new` merged in: all of them when
+    `role` is None, else cut to the front, the tuples no other tuple of the
+    level dominates, with their free slots zeroed.
 
     t dominates t' when it is <= on every lower slot, >= on every upper slot
     and = on every fixed slot, that is, when its cost (values[s] * sign over
     the role's signs) is <= in every place.  Every letter still to come then
     has looser bounds through t than through t', so each interval t' will
     ever forbid lies inside one t forbids, and dropping t' changes no mask.
-    Free slots are never read again, and the mask needs no cut.  `parent`
-    holds the levels `_grow` grew `levels` from; they are fronts already,
-    so only the tuples `_grow` added are checked, and a level they leave
-    unchanged is the parent's own.
+    Free slots are never read again, and the mask needs no cut.  `kept` is
+    a front already, so only the new tuples are checked, and a level they
+    leave unchanged is `kept` itself.
     """
-    cut = list(levels)
-    for q, role in search[2]:
-        if levels[q] is not parent[q]:
-            cut[q] = _level_front(role, levels[q], parent[q])
-    return tuple(cut)
-
-
-def _level_front(role, entries: frozenset, kept: frozenset) -> frozenset:
-    """The front of `entries`, given that its subset `kept` is one."""
+    if role is None:
+        return kept | new
     signs, free = role
     front = {entry: [entry[2][s] * sign for s, sign in signs] for entry in kept}
     added = False
-    for lo, hi, values in entries - kept:
+    for lo, hi, values in new:
         cost = [values[s] * sign for s, sign in signs]
         if any(all(map(le, other, cost)) for other in front.values()):
             continue
@@ -410,13 +413,14 @@ class _PermTable(_PermSearch):
 
 
 def _search(family: type, validate: Callable, n: int,
-            patterns: Iterable[Iterable[int]], cap: int | None) -> tuple:
+            patterns: Iterable[Iterable[int]], cap: int | None, cut: bool = False) -> tuple:
     """The checks every entry point makes, at its call, then its search: the
     tree and the nodes it starts from (none under the empty pattern).  A
-    pattern longer than n cannot occur, so only the others are compiled."""
+    pattern longer than n cannot occur, so only the others are compiled;
+    `cut` goes to `_compile`, and a count or a table passes True."""
     checked = [validate(p) for p in patterns]
     _check_length(n, cap)
-    tree = family(n, *_compile([p for p in checked if len(p) <= n], n + 1))
+    tree = family(n, *_compile([p for p in checked if len(p) <= n], n + 1, cut))
     return tree, [] if any(not p for p in checked) else [tree.root]
 
 
@@ -445,6 +449,8 @@ def _tally(tree, roots: list, width: int = 0) -> int:
     2 ** (width * (n + 1)) and each right-to-left minimum (`tree.rlm`) weighs
     2 ** width.  A memo value is then the table of the completions below a
     node by what their entries add, and the tree keys all that decides it.
+    A node is read only through the tree (`key`, `children`, `leaves`,
+    `rlm`) and by its prefix; the tree's transition cuts its state.
     """
     last_depth, memo = tree.n - 1, {}
     ascent = width * (tree.n + 1)
@@ -474,16 +480,7 @@ def _tally(tree, roots: list, width: int = 0) -> int:
             if key in memo:
                 frame[2] += memo[key] << shift
             else:
-                children = tree.children(node)
-                # a child at the last depth is counted, never keyed
-                if tree.search[2] and depth + 1 < last_depth:
-                    # `_AscentTable` children in a row can share one level tuple: cut it once
-                    grown = cut = None
-                    for i, child in enumerate(children):
-                        if child[1][1] is not grown:
-                            grown, cut = child[1][1], _front(tree.search, child[1][1], node[1][1])
-                        children[i] = (child[0], (child[1][0], cut), *child[2:])
-                stack.append([key, children, 0, shift])
+                stack.append([key, tree.children(node), 0, shift])
 
 
 def ascent_sequences(n: int, *, cap: int | None = ASCENT_CAP) -> Iterator[tuple[int, ...]]:
@@ -524,7 +521,7 @@ def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = 
     >>> count_ascent_sequences_avoiding(14, [(0, 2, 1)]) == catalan(14)
     True
     """
-    return _tally(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap))
+    return _tally(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap, True))
 
 
 def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -536,7 +533,7 @@ def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> count_permutations_avoiding(13, [(1, 3, 2)]) == catalan(13)
     True
     """
-    return _tally(*_search(_PermSearch, validate_permutation, n, patterns, cap))
+    return _tally(*_search(_PermSearch, validate_permutation, n, patterns, cap, True))
 
 
 @dataclass(frozen=True)
@@ -585,7 +582,7 @@ def _joint_table(family: type, n: int, patterns: Iterable[Iterable[int]],
     nothing is listed.  The checks are those of the family's stream."""
     validate = validate_permutation if family is _PermTable else validate_word_pattern
     width = factorial(n).bit_length()  # no cell can count more than n! objects
-    tally, entries = _tally(*_search(family, validate, n, patterns, cap), width), {}
+    tally, entries = _tally(*_search(family, validate, n, patterns, cap, True), width), {}
     for cell in range((n + 1) ** 2):
         if count := tally >> width * cell & (1 << width) - 1:
             entries[divmod(cell, n + 1)] = count

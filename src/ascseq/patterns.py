@@ -64,7 +64,10 @@ def validate_word_pattern(letters: Iterable[int]) -> tuple[int, ...]:
     p = tuple(letters)
     if not p:
         return p
-    for v in p:
+    for i, v in enumerate(p, 1):
+        if not isinstance(v, int):  # bools are ints, and pass
+            raise ValidationError(
+                f"pattern entry {i} is {v!r}; word patterns use integers 0..k")
         if v < 0:
             raise ValidationError(
                 f"pattern letter {v} is negative; word patterns use 0..k")

@@ -1,10 +1,15 @@
-"""The public API is `ascseq.__all__`: its names are fixed and all resolve.
+"""The public API is `ascseq.__all__`: its names are fixed and all resolve,
+and its entry points refuse non-integer input with `ValidationError`.
 Every private function or class in `src/` serves `src/`."""
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import ascseq
+from ascseq import ValidationError
 
 PUBLIC_NAMES = [
     "ASCENT_CAP", "AscentSequenceError", "AscentSplit", "EquidistributionReport",
@@ -51,3 +56,38 @@ def test_every_private_definition_is_used_in_src():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(defined - used) == []
+
+
+# (entry point, arguments, what the refusal names): an entry that is not an
+# int, by its 1-based position, or a length that is not an int
+NON_INTEGER_CALLS = [
+    ("validate_ascent_sequence", ([0, 0.5],), "entry 2 is 0.5"),
+    ("validate_ascent_sequence", ([0.0, 1],), "entry 1 is 0.0"),
+    ("ascent_to_permutation", ([0, 0.5],), "entry 2 is 0.5"),
+    ("special_maximum", ([0, 1, "1"],), "entry 3 is '1'"),
+    ("validate_permutation", ([2.0, 3, 1],), "entry 1 is 2.0"),
+    ("permutation_to_ascent", ([2.0, 3, 1],), "entry 1 is 2.0"),
+    ("avoids_perm", ((1, 2, 3), (1, 2.5)), "entry 2 is 2.5"),
+    ("validate_word_pattern", ([0, 1.5],), "pattern entry 2 is 1.5"),
+    ("avoids_word", ((0, 1), (0, None)), "pattern entry 2 is None"),
+    ("permutations_avoiding", (3, [(1, 3.0, 2)]), "entry 2 is 3.0"),
+    ("ascent_sequences_avoiding", (2.5,), "length must be an integer, got 2.5"),
+    ("count_ascent_sequences_avoiding", (2.0,), "length must be an integer, got 2.0"),
+    ("count_permutations_avoiding", (2.0, [(1, 3, 2)]), "length must be an integer"),
+    ("verify_equidistribution", (2.0,), "length must be an integer, got 2.0"),
+    ("catalan", (2.0,), "got 2.0"),
+]
+
+
+@pytest.mark.parametrize("name, args, text", NON_INTEGER_CALLS,
+                         ids=[f"{name}{args}" for name, args, _ in NON_INTEGER_CALLS])
+def test_non_integers_are_refused(name, args, text):
+    with pytest.raises(ValidationError, match=re.escape(text)):
+        getattr(ascseq, name)(*args)
+
+
+def test_bools_are_integers():
+    assert ascseq.validate_ascent_sequence([False, True, True]) == (False, True, True)
+    assert ascseq.validate_permutation([True]) == (True,)
+    assert ascseq.validate_word_pattern([False]) == (False,)
+    assert ascseq.catalan(True) == 1

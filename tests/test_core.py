@@ -52,6 +52,11 @@ class TestValidateAscentSequence:
             validate_ascent_sequence((0, 0, 5, 0, 9))
         assert exc.value.index == 3
         assert exc.value.bound == 1
+        # a negative last entry does not count as an ascent into entry 1
+        with pytest.raises(AscentSequenceError) as exc:
+            validate_ascent_sequence((0, 2, -1))
+        assert exc.value.index == 2
+        assert exc.value.bound == 1
 
     def test_matches_generator_exhaustively(self):
         # The validator accepts exactly the generated sequences.  Any valid

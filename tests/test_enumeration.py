@@ -36,7 +36,6 @@ from ascseq.enumeration import (
     _bits,
     _compile,
     _forbid,
-    _front,
     _grow,
     _joint_table,
     _PermSearch,
@@ -253,13 +252,14 @@ class TestAvoidanceState:
 
 
 class TestFront:
-    """A count cuts each state to its front before it keys or expands a node.
-    The cut state must forbid exactly what the full state forbids, at every
-    step of every extension."""
+    """A count's transition, compiled with `cut`, keeps each level at its
+    front.  The cut state must forbid exactly what the full state forbids,
+    at every step of every extension."""
 
     @staticmethod
     def check(patterns, top, next_values):
         search, start = _compile(patterns, top)
+        cut_search, _ = _compile(patterns, top, cut=True)
         stack, seen = [((), start, start)], 0
         while stack:
             prefix, full, cut = stack.pop()
@@ -268,8 +268,7 @@ class TestFront:
             seen += 1
             if len(prefix) < 7:
                 stack += [(prefix + (v,), advance(search, full, v),
-                           (_forbid(search, cut, v),
-                            _front(search, _grow(search, cut[1], v), cut[1])))
+                           advance(cut_search, cut, v))
                           for v in next_values(prefix)]
         return seen
 
@@ -287,17 +286,25 @@ class TestFront:
                                                  ((0, 2, 1), (0, 1, 2, 0, 3))])
     def test_keeps_one_first_letter(self, pattern, prefix):
         # the first letter of 132 or 021 bounds the later ones from below only
-        search, (_, levels) = _compile([pattern], 9)
+        search, (_, levels) = _compile([pattern], 9, cut=True)
         for length, v in enumerate(prefix, 1):
-            levels = _front(search, _grow(search, levels, v), levels)
+            levels = _grow(search, levels, v)
             low = min(prefix[:length])
             assert levels[1] == {(low, 9, (low,))}
+
+    def test_free_slots_are_zeroed(self):
+        # after 1 2 3, the realised 12s are 1 2, 1 3 and 2 3; 1 2 bounds the
+        # 3 still to come most loosely, and its 1 bounds no later letter
+        search, (_, levels) = _compile([(1, 2, 3, 4)], 9, cut=True)
+        for v in (1, 2, 3):
+            levels = _grow(search, levels, v)
+        assert levels[2] == {(2, 9, (0, 2))}
 
     def test_all_fixed_levels_get_no_front(self):
         # each letter of 0101 after the first is bound both ways or by an
         # equal letter, so no tuple can dominate another
-        search, _ = _compile([(0, 1, 0, 1)], 8)
-        assert search[2] == ()
+        search, _ = _compile([(0, 1, 0, 1)], 8, cut=True)
+        assert search[2] == (None, None, None)
 
 
 class TestMemoSize:
@@ -363,22 +370,43 @@ class TestFullStates:
 
 class TestFrontCuts:
     """`_AscentTable` makes two children per value, declared minimum or not,
-    that share one level tuple; a count cuts each such tuple to its front
-    once.  At n = 20 that is 13,552 cuts, where one per child made 17,379."""
+    that share one level tuple, and `_grow` cuts that tuple to its front as
+    it builds it.  At n = 20 that is 13,552 cuts, where one per child made
+    17,379.  Streams keep the uncut transition."""
 
     def test_no_more_cuts_than_grown_levels(self, monkeypatch):
         import ascseq.enumeration as enumeration
         perms = _joint_table(_PermTable, 20, [(1, 3, 2)], None)
-        calls = {"_grow": 0, "_front": 0}
+        calls = {"_grow": 0, "_level_front": 0}
         for name in calls:
             def counted(*args, real=getattr(enumeration, name), name=name):
-                calls[name] += 1
+                # `_level_front` cuts only when it gets a role
+                calls[name] += name == "_grow" or args[0] is not None
                 return real(*args)
 
             monkeypatch.setattr(enumeration, name, counted)
         table = _joint_table(_AscentTable, 20, [(0, 2, 1)], None)
         assert table == perms and table.total == catalan(20)
-        assert 0 < calls["_front"] <= calls["_grow"]
+        assert 0 < calls["_level_front"] <= calls["_grow"]
+
+    def test_streams_are_not_cut(self, monkeypatch):
+        # a stream visits each node once and has no memo to gain from: cutting
+        # its levels too made these walks slower, about 1.8 times for 2413
+        import ascseq.enumeration as enumeration
+        real, roles = enumeration._level_front, []
+
+        def merge(role, new, kept):
+            roles.append(role)
+            return real(role, new, kept)
+
+        monkeypatch.setattr(enumeration, "_level_front", merge)
+        assert sum(1 for _ in permutations_avoiding(8, [(2, 4, 1, 3)])) == 15485
+        assert sum(1 for _ in ascent_sequences_avoiding(10, [(0, 2, 1)])) == catalan(10)
+        assert set(roles) == {None}
+        # the counts of the same families do cut
+        assert count_permutations_avoiding(8, [(2, 4, 1, 3)]) == 15485
+        assert count_ascent_sequences_avoiding(10, [(0, 2, 1)]) == catalan(10)
+        assert len(set(roles)) > 1
 
 
 class TestPatternsLongerThanN:
@@ -401,9 +429,9 @@ class TestPatternsLongerThanN:
         import ascseq.enumeration as enumeration
         real, compiled = enumeration._compile, []
 
-        def spy(patterns, top):
+        def spy(patterns, top, cut):
             compiled.append(list(patterns))
-            return real(patterns, top)
+            return real(patterns, top, cut)
 
         monkeypatch.setattr(enumeration, "_compile", spy)
         assert count_ascent_sequences_avoiding(10, [tuple(range(3000))]) == 201_608
