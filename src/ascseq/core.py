@@ -135,18 +135,29 @@ def is_permutation(values: Iterable[int]) -> bool:
         return False
 
 
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, if every one is an int (bools are ints, and
+    pass); else a ValidationError naming the first other entry by its 1-based
+    position."""
+    seq = tuple(values)
+    for i, v in enumerate(seq, 1):
+        if not isinstance(v, int):
+            raise ValidationError(f"entry {i} is {v!r}; entries must be integers")
+    return seq
+
+
 def standardize(word: Iterable[int]) -> tuple[int, ...]:
     """Replace the t-th smallest entry with t, giving an order-isomorphic permutation.
 
-    The entries must be pairwise distinct.  Standardizing a permutation
-    returns it unchanged.
+    The entries must be pairwise distinct integers.  Standardizing a
+    permutation returns it unchanged.
 
     >>> standardize((4, 6, 5))
     (1, 3, 2)
     >>> standardize((9, 5, 3))
     (3, 2, 1)
     """
-    w = tuple(word)
+    w = _integers(word)
     seen: set[int] = set()
     for v in w:
         if v in seen:

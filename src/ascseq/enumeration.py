@@ -19,21 +19,35 @@ levels, so a child one entry short of length n carries just its mask (its
 last entries are the values the mask allows), and a permutation child is
 tested for a dead end on its mask before its levels are built.
 
+An ascent search caches both halves, in the search object, on (levels, v):
+`_forbid` keeps the mask that v adds, and `_grow` the child's levels, one
+object per distinct state.  Ascent-sequence states recur massively:
+streaming A_11(021) updates 23,713 masks from 125 distinct inputs and builds
+6,917 level sets from 78, and the A_20(021) table grows 13,552 from 19.  So
+the transition is mostly a lookup, and equal levels are one object, which
+the cache and the memo compare by identity.  A permutation state holds
+absolute values and rarely recurs (streaming S_8(2413) makes 30,658
+distinct inputs in 36,765 calls), so a permutation search keeps the
+uncached transition: caching it too made the walks of S_8(2413) and S_8(25314) about
+1.6 times slower, with the kept states to allocate and trace.  The cache is
+discarded with its search.
+
 Streams walk the tree with an explicit stack, in lexicographic order with no
 duplicates, and build the levels of each node they expand exactly once.
 Counts walk the same tree, but memoize the number of objects below each
-node on a canonical key: (depth, ascents, last entry, state) for ascent
-sequences, and (entries left, state) for permutations, with each used value
+node on a canonical key: for ascent sequences (levels, mask, last entry,
+ascents, obligation, depth), as the interned levels are their own canonical
+form; for permutations (entries left, state), with each used value
 replaced by the number of unused values below it, which is all the rest of
-the search can see.  Their transition is compiled with `cut`, so that each
-level of a state is its front (`_level_front`): a realised tuple that bounds
-every letter still to come at least as tightly as another one can never
-forbid a value the other does not, so `_grow` drops it as it builds the
-child, and the key sees only the front.  For 021 and 132 the front keeps
-one realised first letter, and the counts reach n = 30 in well under a
-second.  Streams visit each node once and have no memo to shrink, so they
-keep the plain transition: the dominance tests cost more than the dropped
-tuples save, and cutting streams too made the walks of S_8(2413) and
+the search can see.  Their transition is compiled with `cut`,
+so that each level of a state is its front (`_level_front`): a realised
+tuple that bounds every letter still to come at least as tightly as another
+one can never forbid a value the other does not, so `_grow` drops it as it
+builds the child, and the key sees only the front.  For 021 and 132 the
+front keeps one realised first letter, and the counts reach n = 30 in well
+under a second.  Streams visit each node once and have no memo to shrink,
+so they keep the uncut transition: the dominance tests cost more than the
+dropped tuples save, and cutting streams too made the walks of S_8(2413) and
 S_8(25314) about 1.7-1.8 times slower.  So a count does not list its
 objects; the test suite checks counts against listings exhaustively at
 small n.
@@ -85,6 +99,9 @@ from .stats import asc, rlm
 
 ASCENT_CAP = 20  # ~6.6e9 021-avoiders at n = 20: past desk scale
 PERM_CAP = 13
+# No cap override lifts this: one path of the search holds about n^2 / 2
+# prefix entries, and a count at this length already runs for hours.
+LENGTH_CEILING = 1000
 CATALAN_MAX = 30
 
 
@@ -165,7 +182,9 @@ def _roles(neighbours, length: int):
 
 def _compile(patterns: Sequence[Sequence[int]], top: int, cut: bool = False):
     """The transition table for the patterns over values below `top`, and
-    the state of the empty prefix.
+    the state of the empty prefix.  The table is (plans, top, roles, masks,
+    levels): the two caches of `_forbid` and `_grow` are None here, and an
+    ascent search puts dicts in their place.
 
     Each level q gets a plan (q, below, above): when a new entry extends a
     tuple of level q, slots `below` and `above` of the longer tuple bound
@@ -188,7 +207,8 @@ def _compile(patterns: Sequence[Sequence[int]], top: int, cut: bool = False):
             roles.append(_roles(neighbours, length) if cut else None)
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
-    return ((tuple(grows), tuple(finals)), top, tuple(roles)), (forbidden, tuple(levels))
+    return ((tuple(grows), tuple(finals)), top, tuple(roles), None, None), \
+        (forbidden, tuple(levels))
 
 
 def _forbid(search, state, v: int) -> int:
@@ -198,21 +218,27 @@ def _forbid(search, state, v: int) -> int:
     Only the last levels are read.  Each of their tuples that v extends
     realises all of its pattern but the last letter, and forbids the values
     that would complete it.  A child one entry short of length n needs no
-    more than this (see `leaves`).
+    more than this (see `leaves`).  An ascent search caches the mask that v
+    adds on (levels, v); the parent's mask is ORed on after the lookup.
     """
-    (_, finals), top, _ = search
+    (_, finals), top, _, masks, _ = search
     forbidden, levels = state
+    if masks is not None and (added := masks.get((levels, v))) is not None:
+        return forbidden | added
+    added = 0
     for q, below, above in finals:
         for lo, hi, values in levels[q]:
             if lo < v < hi:
                 values += (v,)
                 if below == above:
-                    forbidden |= 1 << values[below]
+                    added |= 1 << values[below]
                 else:  # hi > lo, so an empty interval adds nothing
                     lo = values[below] if below >= 0 else -1
                     hi = values[above] if above >= 0 else top
-                    forbidden |= (1 << hi) - (1 << lo + 1)
-    return forbidden
+                    added |= (1 << hi) - (1 << lo + 1)
+    if masks is not None:
+        masks[levels, v] = added
+    return forbidden | added
 
 
 def _grow(search, levels: tuple, v: int) -> tuple:
@@ -222,9 +248,14 @@ def _grow(search, levels: tuple, v: int) -> tuple:
     moves up one level, unless no value is left between its new bounds; a
     tuple on a pattern's last level forbids values instead (`_forbid`).  The
     tuples that reach a level merge into it through `_level_front`, which
-    keeps the level's front when the search was compiled with `cut`.
+    keeps the level's front when the search was compiled with `cut`.  An
+    ascent search caches the child on (levels, v), and an equal child made
+    from other levels is replaced by the first one, so each distinct state
+    is one object.
     """
-    (grows, _), top, roles = search
+    (grows, _), top, roles, _, cache = search
+    if cache is not None and (child := cache.get((levels, v))) is not None:
+        return child
     grown: dict[int, set] = {}
     for q, below, above in grows:
         for lo, hi, values in levels[q]:
@@ -240,8 +271,11 @@ def _grow(search, levels: tuple, v: int) -> tuple:
                 if hi - lo < 2:
                     continue
             grown.setdefault(q + 1, set()).add((lo, hi, values))
-    return tuple(_level_front(roles[q], grown[q], entries) if q in grown else entries
-                 for q, entries in enumerate(levels))
+    child = tuple(_level_front(roles[q], grown[q], entries) if q in grown else entries
+                  for q, entries in enumerate(levels))
+    if cache is not None:  # equal children become one object, itself a key of the cache
+        child = cache[levels, v] = cache.setdefault(child, child)
+    return child
 
 
 def _level_front(role, new: set, kept: frozenset) -> frozenset:
@@ -296,12 +330,14 @@ def _bits(mask: int) -> list[int]:
 class _AscentSearch:
     """Ascent sequences of length n avoiding the patterns.  Nodes are
     (prefix, state, ascents, last entry, obligation); the root's -1s admit
-    only 0.  The obligation stays n here (`_AscentTable` lowers it)."""
+    only 0.  The obligation stays n here (`_AscentTable` lowers it).  The
+    search's transition table carries its own cache (`_forbid`, `_grow`), so
+    equal levels are one object, and the key is the node's state and
+    numbers with the depth in place of the prefix, in one flat tuple."""
 
     def __init__(self, n: int, search, start) -> None:
-        self.n, self.search = n, search
+        self.n, self.search = n, search[:3] + ({}, {})
         self.root = ((), start, -1, -1, n)
-        self._codes: dict = {}
 
     def children(self, node) -> list:
         prefix, state, ascents, last, due = node
@@ -316,16 +352,9 @@ class _AscentSearch:
     def leaves(node) -> int:
         return ((1 << node[2] + 2) - 1) & ~node[1][0]
 
-    def key(self, node) -> int:
-        prefix, (forbidden, levels), ascents, last, _ = node
-        codes, top = self._codes, self.search[1]
-        state = 0
-        for q, entries in enumerate(levels):
-            for entry in entries:
-                state |= 1 << codes.setdefault((q, entry[2]), len(codes))
-        base = top + 1  # the root's -1s shift to 0
-        return (((state << top | forbidden) * base + last + 1) * base
-                + ascents + 1) * base + len(prefix)
+    def key(self, node) -> tuple:
+        prefix, (forbidden, levels), ascents, last, due = node
+        return levels, forbidden, last, ascents, due, len(prefix)
 
 
 class _AscentTable(_AscentSearch):
@@ -351,9 +380,6 @@ class _AscentTable(_AscentSearch):
     @staticmethod
     def leaves(node) -> int:
         return _AscentSearch.leaves(node) & ((2 << node[4]) - 1)
-
-    def key(self, node) -> int:
-        return super().key(node) * (self.n + 1) + node[4]
 
     def rlm(self, node) -> bool:
         return node[4] == self.n
@@ -417,9 +443,14 @@ def _search(family: type, validate: Callable, n: int,
     """The checks every entry point makes, at its call, then its search: the
     tree and the nodes it starts from (none under the empty pattern).  A
     pattern longer than n cannot occur, so only the others are compiled;
-    `cut` goes to `_compile`, and a count or a table passes True."""
+    `cut` goes to `_compile`, and a count or a table passes True.  A length
+    over `LENGTH_CEILING` is refused, whatever the cap, before anything is
+    compiled."""
     checked = [validate(p) for p in patterns]
     _check_length(n, cap)
+    if n > LENGTH_CEILING:
+        raise ValidationError(f"length {n} exceeds the search ceiling {LENGTH_CEILING}, "
+                              f"which no cap override lifts")
     tree = family(n, *_compile([p for p in checked if len(p) <= n], n + 1, cut))
     return tree, [] if any(not p for p in checked) else [tree.root]
 
@@ -581,8 +612,9 @@ def _joint_table(family: type, n: int, patterns: Iterable[Iterable[int]],
     patterns, for `_AscentTable` or `_PermTable`, by the memoized search:
     nothing is listed.  The checks are those of the family's stream."""
     validate = validate_permutation if family is _PermTable else validate_word_pattern
+    tree, roots = _search(family, validate, n, patterns, cap, True)
     width = factorial(n).bit_length()  # no cell can count more than n! objects
-    tally, entries = _tally(*_search(family, validate, n, patterns, cap, True), width), {}
+    tally, entries = _tally(tree, roots, width), {}
     for cell in range((n + 1) ** 2):
         if count := tally >> width * cell & (1 << width) - 1:
             entries[divmod(cell, n + 1)] = count

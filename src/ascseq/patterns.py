@@ -35,7 +35,7 @@ from bisect import bisect_left
 from math import inf
 from typing import Iterable, Iterator, Sequence
 
-from .core import ValidationError, validate_permutation
+from .core import ValidationError, _integers, validate_permutation
 
 PATTERN_021 = (0, 2, 1)
 PATTERN_132 = (1, 3, 2)
@@ -251,7 +251,7 @@ def _first_occurrence(seq: Sequence[int],
 def iter_occurrences_word(seq: Iterable[int],
                           pattern: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Occurrences of a word pattern, lazily, as 1-based index tuples."""
-    return _iter_occurrences(tuple(seq), validate_word_pattern(pattern))
+    return _iter_occurrences(_integers(seq), validate_word_pattern(pattern))
 
 
 def occurrences_word(seq: Iterable[int],
@@ -269,7 +269,7 @@ def avoids_word(seq: Iterable[int], pattern: Iterable[int]) -> bool:
 
     Stops at the first occurrence found.
     """
-    return _first_occurrence(tuple(seq), validate_word_pattern(pattern)) is None
+    return _first_occurrence(_integers(seq), validate_word_pattern(pattern)) is None
 
 
 def iter_occurrences_perm(perm: Iterable[int],
@@ -303,7 +303,7 @@ def nonzero_weakly_increasing(seq: Iterable[int]) -> bool:
     False
     """
     prev = None
-    for v in seq:
+    for v in _integers(seq):
         if v == 0:
             continue
         if prev is not None and v < prev:

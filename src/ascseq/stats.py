@@ -2,7 +2,10 @@
 
 `asc` and `rlm` are defined on arbitrary integer sequences because both
 families of objects in this package (ascent sequences and permutations) carry
-them.  `special_maximum` applies to valid ascent sequences only.
+them.  They do not check each entry, as they run once per object in the
+verification harness; an entry they cannot compare is reported, after the
+fact, as a ValidationError naming the first entry that is not an int.
+`special_maximum` applies to valid ascent sequences only.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
-from .core import validate_ascent_sequence
+from .core import _integers, validate_ascent_sequence
 
 
 def asc(seq: Sequence[int]) -> int:
@@ -20,7 +23,11 @@ def asc(seq: Sequence[int]) -> int:
     >>> asc((0, 1, 0, 1))
     2
     """
-    return sum(map(lt, seq, seq[1:]))
+    try:
+        return sum(map(lt, seq, seq[1:]))
+    except TypeError:
+        _integers(seq)  # names the entry that cannot be compared, if there is one
+        raise
 
 
 def rlm(seq: Sequence[int]) -> int:
@@ -33,10 +40,14 @@ def rlm(seq: Sequence[int]) -> int:
     """
     count = 0
     suffix_min: int | None = None
-    for v in reversed(seq):
-        if suffix_min is None or v < suffix_min:
-            count += 1
-            suffix_min = v
+    try:
+        for v in reversed(seq):
+            if suffix_min is None or v < suffix_min:
+                count += 1
+                suffix_min = v
+    except TypeError:
+        _integers(seq)  # names the entry that cannot be compared, if there is one
+        raise
     return count
 
 

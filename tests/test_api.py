@@ -76,6 +76,13 @@ NON_INTEGER_CALLS = [
     ("count_permutations_avoiding", (2.0, [(1, 3, 2)]), "length must be an integer"),
     ("verify_equidistribution", (2.0,), "length must be an integer, got 2.0"),
     ("catalan", (2.0,), "got 2.0"),
+    ("occurrences_word", ([0, "x", 1], (0, 1)), "entry 2 is 'x'"),
+    ("iter_occurrences_word", ([0, None], (0,)), "entry 2 is None"),
+    ("avoids_word", ([0, 0.5], (0, 1)), "entry 2 is 0.5"),
+    ("nonzero_weakly_increasing", ([0, "a", 1],), "entry 2 is 'a'"),
+    ("standardize", ([1.5, "a"],), "entry 1 is 1.5"),
+    ("asc", ([0, "a"],), "entry 2 is 'a'"),
+    ("rlm", ([0, "a"],), "entry 2 is 'a'"),
 ]
 
 

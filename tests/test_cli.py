@@ -154,6 +154,13 @@ class TestCount:
                     "csv": "count\n3814986502092304\n"}
         assert (code, out, err) == (0, expected[fmt], "")
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_0101_at_16_bytes(self, capsys, fmt):
+        code, out, err = run(capsys, "count", "ascent", "16", "--avoid", "0101",
+                             "--format", fmt)
+        expected = {"plain": "35357670\n", "json": "35357670\n", "csv": "count\n35357670\n"}
+        assert (code, out, err) == (0, expected[fmt], "")
+
     def test_perm_over_cap_bytes(self, capsys):
         code, out, err = run(capsys, "count", "perm", "14")
         assert (code, out) == (2, "")
@@ -581,7 +588,8 @@ class TestVerify:
 
 class TestCapsBeforeWork:
     """`verify` and `distribution` check both length caps, and `verify` the
-    Catalan range, before any search."""
+    Catalan range, before any search; every search checks the length ceiling
+    before it is built."""
 
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
@@ -596,6 +604,16 @@ class TestCapsBeforeWork:
         assert (code, out) == (2, "")
         assert "exceeds the enumeration cap 13" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("argv", [("count", "ascent", "1001", "--avoid", "021"),
+                                      ("count", "perm", "1001"),
+                                      ("enumerate", "ascent", "1001"),
+                                      ("enumerate", "perm", "1001", "--avoid", "132"),
+                                      ("distribution", "1001")])
+    def test_search_ceiling_fails_first(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--max-n-override")
+        assert (code, out, err) == (2, "", "error: length 1001 exceeds the search "
+                                             "ceiling 1000, which no cap override lifts\n")
 
     def test_catalan_range_fails_first(self, capsys):
         # with the caps lifted, n = 31 is past the Catalan table of the last pass

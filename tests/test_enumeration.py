@@ -26,9 +26,10 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from ascseq.core import is_ascent_sequence, is_permutation
+from ascseq.core import is_ascent_sequence, is_permutation, validate_permutation
 from ascseq.enumeration import (
     ASCENT_CAP,
+    LENGTH_CEILING,
     PERM_CAP,
     JointDistribution,
     _AscentSearch,
@@ -40,8 +41,10 @@ from ascseq.enumeration import (
     _joint_table,
     _PermSearch,
     _PermTable,
+    _search,
+    _walk,
 )
-from ascseq.patterns import _avoider_stats, _first_021
+from ascseq.patterns import _avoider_stats, _first_021, validate_word_pattern
 from ascseq.stats import asc, rlm
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
@@ -144,6 +147,12 @@ class TestAvoidingStreams:
         for n in range(0, 9):
             stream = list(ascent_sequences_avoiding(n, [(0, 2, 1)]))
             assert count_ascent_sequences_avoiding(n, [(0, 2, 1)]) == len(stream)
+
+    def test_0101_counts_are_catalan(self):
+        # every level of 0101 is fixed, so no front cut applies: the cached
+        # transition is what makes these cheap
+        for n in range(19):
+            assert count_ascent_sequences_avoiding(n, [(0, 1, 0, 1)]) == catalan(n)
 
 
 class TestPermStreams:
@@ -366,6 +375,69 @@ class TestFullStates:
                    for p in objects)
         # neither a dead end nor a child of length 8 gets levels
         assert built <= 7071
+
+
+class TestTransitionCache:
+    """An ascent search caches its transition on (levels, v): `_forbid` the
+    mask that v adds, `_grow` the child's levels, one object per distinct
+    state.  A permutation search caches nothing."""
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("patterns", [(w,) for w in WORD_BANK] + WORD_PAIRS,
+                             ids=map(str, WORD_BANK + WORD_PAIRS))
+    def test_cached_equals_plain(self, patterns, cut):
+        plain, start = _compile(patterns, 8, cut)
+        cached = _AscentSearch(7, plain, start).search
+        stack, seen = [((), start, start)], 0
+        while stack:
+            prefix, state, twin = stack.pop()
+            seen += 1
+            if len(prefix) < 7:
+                for v in TestAvoidanceState.ascent_values(prefix):
+                    expected, child = advance(plain, state, v), advance(cached, twin, v)
+                    assert child == expected, (patterns, prefix, v)
+                    assert _grow(cached, twin[1], v) is child[1]  # one object per state
+                    stack.append((prefix + (v,), expected, child))
+        assert seen == 1308
+
+    def test_lookups_read_the_cache(self):
+        # a stored entry is what each half returns, so no lookup is bypassed
+        search, (forbidden, levels) = _compile([(0, 2, 1)], 4)
+        cached = _AscentSearch(3, search, (forbidden, levels)).search
+        masks, cache = cached[3:]
+        masks[levels, 1], cache[levels, 1] = 0b100, ("planted",)
+        assert _forbid(cached, (0b1, levels), 1) == 0b101
+        assert _grow(cached, levels, 1) == ("planted",)
+
+    def test_stream_fills_the_cache(self):
+        # A_11(021): 23,713 masks over 125 distinct (levels, v) and 6,917
+        # level sets over 78, which give 35 distinct children
+        tree, roots = _search(_AscentSearch, validate_word_pattern, 11, [(0, 2, 1)], None)
+        assert sum(1 for _ in _walk(tree, roots)) == catalan(11)
+        masks, cache = tree.search[3:]
+        assert len(masks) == 125
+        inputs = {key: child for key, child in cache.items() if isinstance(key[-1], int)}
+        assert len(inputs) == 78 and len(cache) == 78 + 35
+        assert all(cache[child] is child for child in inputs.values())
+
+    def test_permutation_search_stores_nothing(self):
+        tree, roots = _search(_PermSearch, validate_permutation, 8, [(2, 4, 1, 3)], None)
+        assert sum(1 for _ in _walk(tree, roots)) == 15485
+        assert tree.search[3:] == (None, None)
+
+    def test_searches_share_nothing(self):
+        # searches pulled in turn in one process, each against brute force;
+        # 021 and 012 have equal levels after 0 but forbid different values
+        every = list(ascent_sequences(9))
+        patterns = [(0, 2, 1), (0, 1, 0, 1), (0, 1, 2)]
+        streams = [ascent_sequences_avoiding(9, [p]) for p in patterns]
+        got = [[] for _ in patterns]
+        for row in itertools.zip_longest(*streams):
+            for out, x in zip(got, row):
+                if x is not None:
+                    out.append(x)
+        for pattern, objects in zip(patterns, got):
+            assert objects == [x for x in every if brute_avoids(x, pattern)]
 
 
 class TestFrontCuts:
@@ -595,6 +667,27 @@ class TestCaps:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             ascent_sequences(-1)
+
+    @pytest.mark.parametrize("search", [
+        lambda n: ascent_sequences_avoiding(n, [(0, 2, 1)], cap=None),
+        lambda n: permutations_avoiding(n, [(1, 3, 2)], cap=None),
+        lambda n: count_ascent_sequences_avoiding(n, [(0, 2, 1)], cap=None),
+        lambda n: count_permutations_avoiding(n, [(1, 3, 2)], cap=None),
+        lambda n: _joint_table(_AscentTable, n, [(0, 2, 1)], None),
+        lambda n: _joint_table(_PermTable, n, [(1, 3, 2)], None),
+    ], ids=["stream-ascent", "stream-perm", "count-ascent", "count-perm",
+            "table-ascent", "table-perm"])
+    def test_search_ceiling(self, monkeypatch, search):
+        # no cap lifts the ceiling, and it is checked before anything is
+        # compiled or sized
+        def fail(*args):
+            raise AssertionError("the search was built before the ceiling was checked")
+
+        monkeypatch.setattr("ascseq.enumeration._compile", fail)
+        monkeypatch.setattr("ascseq.enumeration.factorial", fail)
+        with pytest.raises(ValidationError,
+                           match=f"length {LENGTH_CEILING + 1} exceeds the search ceiling"):
+            search(LENGTH_CEILING + 1)
 
     def test_verify_checks_both_caps_before_listing(self, monkeypatch):
         # n = 14 is within the ascent cap but over the permutation cap; the

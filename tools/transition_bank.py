@@ -1,0 +1,106 @@
+"""Layer bench of the search: walks, counts and a joint table, timed in one
+process for one or two source trees.
+
+    python3 tools/transition_bank.py TREE [TREE2] [--rounds K] [--case NAME ...]
+
+A tree is a source checkout (its `src/ascseq` is loaded) or an `ascseq`
+package directory.  Each tree's package is imported under its own name, so
+two versions run side by side.  Every round times each case once per tree,
+alternating which tree goes first, and checks that the trees agree on the
+result.  Each row reports the best and the median of the K rounds per tree
+in milliseconds, and, for two trees, the ratio of the medians (second over
+first) and the number of rounds the second tree was faster in.
+
+The timings are of the search alone: patterns and lengths are fixed, and
+nothing is printed or parsed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+
+def load(tree: str, name: str):
+    """The `ascseq` package of a source tree, imported as `name`."""
+    root = Path(tree).resolve()
+    package = root / "src" / "ascseq" if (root / "src" / "ascseq").is_dir() else root
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _walk(stream: str, n: int, pattern: tuple[int, ...]):
+    return lambda m: sum(1 for _ in getattr(m, stream)(n, [pattern], cap=None))
+
+
+def _count(count: str, n: int, pattern: tuple[int, ...]):
+    return lambda m: getattr(m, count)(n, [pattern], cap=None)
+
+
+def _table(n: int):
+    def run(m):
+        search = m.enumeration
+        return search._joint_table(search._AscentTable, n, [(0, 2, 1)], None).entries
+    return run
+
+
+ASCENT, PERM = "ascent_sequences_avoiding", "permutations_avoiding"
+COUNT_A, COUNT_P = "count_ascent_sequences_avoiding", "count_permutations_avoiding"
+CASES = {
+    "walk A11(021)": _walk(ASCENT, 11, (0, 2, 1)),
+    "walk A10(0101)": _walk(ASCENT, 10, (0, 1, 0, 1)),
+    "walk S9(132)": _walk(PERM, 9, (1, 3, 2)),
+    "walk S8(2413)": _walk(PERM, 8, (2, 4, 1, 3)),
+    "walk S8(25314)": _walk(PERM, 8, (2, 5, 3, 1, 4)),
+    "count A12(021)": _count(COUNT_A, 12, (0, 2, 1)),
+    "count A11(0101)": _count(COUNT_A, 11, (0, 1, 0, 1)),
+    "count A13(010101)": _count(COUNT_A, 13, (0, 1, 0, 1, 0, 1)),
+    "count S10(132)": _count(COUNT_P, 10, (1, 3, 2)),
+    "count S12(2413)": _count(COUNT_P, 12, (2, 4, 1, 3)),
+    "table A20(021)": _table(20),
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+", metavar="TREE")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--case", action="append", choices=sorted(CASES),
+                        help="run only this case; repeatable (default: all)")
+    args = parser.parse_args(argv)
+    if len(args.trees) > 2 or args.rounds < 1:
+        parser.error("give one or two trees and at least one round")
+    packages = [load(tree, f"_bank{i}_ascseq") for i, tree in enumerate(args.trees)]
+    print(f"python {sys.version.split()[0]}, {args.rounds} rounds; "
+          + ", ".join(f"tree {i}: {tree}" for i, tree in enumerate(args.trees)))
+    for name in args.case or CASES:
+        run, times = CASES[name], [[] for _ in packages]
+        for r in range(args.rounds):
+            order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
+            results = {}
+            for i in order:
+                start = perf_counter()
+                results[i] = run(packages[i])
+                times[i].append(perf_counter() - start)
+            if len({repr(result) for result in results.values()}) > 1:
+                raise SystemExit(f"{name}: the trees disagree: {results}")
+        cells = [f"{min(t) * 1e3:9.1f} {statistics.median(t) * 1e3:9.1f}" for t in times]
+        line = f"{name:<18}" + "".join(cells)
+        if len(times) == 2:
+            faster = sum(b < a for a, b in zip(*times))
+            ratio = statistics.median(times[1]) / statistics.median(times[0])
+            line += f"  x{ratio:5.2f}  faster {faster}/{args.rounds}"
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
