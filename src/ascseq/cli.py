@@ -24,10 +24,8 @@ from .core import ValidationError, format_seq, format_seqs, parse_seq, validate_
 from .enumeration import (
     ASCENT_CAP,
     PERM_CAP,
-    _AscentTable,
     _check_length,
-    _joint_table,
-    _PermTable,
+    _theorem_tables,
     ascent_sequences_avoiding,
     catalan,
     count_ascent_sequences_avoiding,
@@ -35,7 +33,6 @@ from .enumeration import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from .patterns import PATTERN_021, PATTERN_132
 from .stats import asc, rlm, special_maximum
 
 _JSON_OPTS = {"sort_keys": True, "separators": (",", ":")}
@@ -171,14 +168,6 @@ def _caps(args) -> tuple[int | None, int | None]:
     return (None, None) if args.max_n_override else (ASCENT_CAP, PERM_CAP)
 
 
-def _stream(args, kind: str, n: int,
-            patterns: Iterable[Iterable[int]]) -> Iterator[tuple[int, ...]]:
-    ascent_cap, perm_cap = _caps(args)
-    if kind == "ascent":
-        return ascent_sequences_avoiding(n, patterns, cap=ascent_cap)
-    return permutations_avoiding(n, patterns, cap=perm_cap)
-
-
 def _input_texts(args) -> Iterable[str]:
     if args.object is not None:
         return [args.object]
@@ -186,7 +175,12 @@ def _input_texts(args) -> Iterable[str]:
 
 
 def _cmd_enumerate(args) -> Result:
-    stream = _stream(args, args.kind, args.n, [parse_seq(text) for text in args.avoid])
+    ascent_cap, perm_cap = _caps(args)
+    patterns = [parse_seq(text) for text in args.avoid]
+    if args.kind == "ascent":
+        stream = ascent_sequences_avoiding(args.n, patterns, cap=ascent_cap)
+    else:
+        stream = permutations_avoiding(args.n, patterns, cap=perm_cap)
     return _listing(stream, _document(lambda: [list(obj) for obj in stream]))
 
 
@@ -241,10 +235,7 @@ def _cmd_map(args) -> Result:
 
 
 def _cmd_distribution(args) -> Result:
-    ascent_cap, perm_cap = _caps(args)
-    _check_length(args.n, ascent_cap, perm_cap)  # both caps before either search
-    tables = {"A021": _joint_table(_AscentTable, args.n, (PATTERN_021,), ascent_cap),
-              "S132": _joint_table(_PermTable, args.n, (PATTERN_132,), perm_cap)}
+    tables = dict(zip(("A021", "S132"), _theorem_tables(args.n, *_caps(args))))
     diff = tables["A021"].difference(tables["S132"])
     verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 

@@ -12,25 +12,28 @@ appended.  A permutation prefix is also dropped as soon as an unused value
 is forbidden: that value has to come later, and then it completes an
 occurrence.
 
-The update has two halves.  The mask half (`_forbid`) reads only each
-pattern's last level and gives the new mask; the level half (`_grow`) moves
+The update has two halves, both pure functions of the compiled table, the
+levels and v.  The mask half (`_forbid`) reads only each pattern's last
+level and gives the values v newly forbids; the level half (`_grow`) moves
 the other realisations up.  Only a node the search will expand needs its
 levels, so a child one entry short of length n carries just its mask (its
 last entries are the values the mask allows), and a permutation child is
-tested for a dead end on its mask before its levels are built.
+tested for a dead end on its mask before its levels are built.  A live
+permutation node's mask never meets its unused values, so permutation nodes
+carry no mask at all.
 
-An ascent search caches both halves, in the search object, on (levels, v):
-`_forbid` keeps the mask that v adds, and `_grow` the child's levels, one
-object per distinct state.  Ascent-sequence states recur massively:
-streaming A_11(021) updates 23,713 masks from 125 distinct inputs and builds
-6,917 level sets from 78, and the A_20(021) table grows 13,552 from 19.  So
-the transition is mostly a lookup, and equal levels are one object, which
-the cache and the memo compare by identity.  A permutation state holds
-absolute values and rarely recurs (streaming S_8(2413) makes 30,658
-distinct inputs in 36,765 calls), so a permutation search keeps the
-uncached transition: caching it too made the walks of S_8(2413) and S_8(25314) about
-1.6 times slower, with the kept states to allocate and trace.  The cache is
-discarded with its search.
+An ascent search caches both halves in two dicts of its own, keyed on
+(levels, v): the mask that v adds, and the child's levels, one object per
+distinct state.  Ascent-sequence states recur massively: streaming
+A_11(021) updates 23,713 masks from 125 distinct inputs and builds 6,917
+level sets from 78, and the A_20(021) table grows 13,552 from 19.  So the
+transition is mostly a lookup, and equal levels are one object, which the
+cache and the memo compare by identity.  A permutation state holds absolute
+values and rarely recurs (streaming S_8(2413) makes 30,658 distinct inputs
+in 36,765 calls), so a permutation search calls the transition directly:
+caching it too made the walks of S_8(2413) and S_8(25314) about 1.6 times
+slower, with the kept states to allocate and trace.  The caches are
+discarded with their search.
 
 Streams walk the tree with an explicit stack, in lexicographic order with no
 duplicates, and build the levels of each node they expand exactly once.
@@ -62,16 +65,17 @@ before, so the key gains the number of unused values below the last entry
 the entries after it, so that search guesses and checks (`_AscentTable`):
 a declared minimum forbids every later value at or below it, and the key
 gains the smallest obligation still open.  `verify_equidistribution` and
-the CLI's `distribution` compare these tables; verify's map check then
-walks the stream of sequences once and keeps neither family.
+the CLI's `distribution` compare these tables, which `_theorem_tables`
+builds; verify's map check then walks the stream of sequences once and
+keeps neither family.
 
 All four entry points and `_joint_table` share one front end, `_search`:
-it validates the patterns and checks the length cap at the call, leaves out
-the patterns longer than n, which cannot occur, compiles the rest (with the
-cut for a count or a table), then hands the tree and the nodes to start from
-to `_walk` (a lazy stream) or `_tally` (a count or a table).  At n = 0 the
-root itself is the one object; the empty pattern, which occurs in
-everything, leaves no node to start from.
+it validates the patterns with the family's validator and checks the
+length cap at the call, leaves out the patterns longer than n, which cannot
+occur, compiles the rest (with the cut for a count or a table), then hands
+the tree and the nodes to start from to `_walk` (a lazy stream) or `_tally`
+(a count or a table).  At n = 0 the root itself is the one object; the
+empty pattern, which occurs in everything, leaves no node to start from.
 
 Counts are Python ints and therefore exact at any size.  Enumeration lengths
 are capped by default (20 for ascent sequences, 13 for permutations) purely
@@ -152,6 +156,7 @@ def _check_length(n: int, *caps: int | None) -> None:
 # bounds `patterns._neighbours` points to.  An equal letter gives
 # hi = lo + 2.  `top` bounds every value and stands for "no bound above".
 # A node one entry short of length n has no levels (None): see `leaves`.
+# A permutation node keeps only the levels (`_PermSearch`).
 #
 # The letters pattern[l:] read a tuple's slots through `_neighbours` too, so
 # each slot of a level has a role (`_roles`): lower, upper, fixed or free.
@@ -181,10 +186,10 @@ def _roles(neighbours, length: int):
 
 
 def _compile(patterns: Sequence[Sequence[int]], top: int, cut: bool = False):
-    """The transition table for the patterns over values below `top`, and
-    the state of the empty prefix.  The table is (plans, top, roles, masks,
-    levels): the two caches of `_forbid` and `_grow` are None here, and an
-    ascent search puts dicts in their place.
+    """The transition table (plans, top, roles) for the patterns over values
+    below `top`, and the state of the empty prefix.  The table holds no
+    cache: `_forbid` and `_grow` are pure, and a search that caches them
+    keeps its own dicts (`_AscentSearch`).
 
     Each level q gets a plan (q, below, above): when a new entry extends a
     tuple of level q, slots `below` and `above` of the longer tuple bound
@@ -207,24 +212,19 @@ def _compile(patterns: Sequence[Sequence[int]], top: int, cut: bool = False):
             roles.append(_roles(neighbours, length) if cut else None)
             levels.append(frozenset())
         levels[first] = frozenset({(-1, top, ())})
-    return ((tuple(grows), tuple(finals)), top, tuple(roles), None, None), \
-        (forbidden, tuple(levels))
+    return ((tuple(grows), tuple(finals)), top, tuple(roles)), (forbidden, tuple(levels))
 
 
-def _forbid(search, state, v: int) -> int:
-    """The mask half of the transition: the forbidden mask of a prefix with
-    state `state` after appending v.
+def _forbid(search, levels: tuple, v: int) -> int:
+    """The mask half of the transition: the values that appending v to a
+    prefix with these levels forbids, on top of what the prefix forbids.
 
     Only the last levels are read.  Each of their tuples that v extends
     realises all of its pattern but the last letter, and forbids the values
     that would complete it.  A child one entry short of length n needs no
-    more than this (see `leaves`).  An ascent search caches the mask that v
-    adds on (levels, v); the parent's mask is ORed on after the lookup.
+    more than this (see `leaves`).
     """
-    (_, finals), top, _, masks, _ = search
-    forbidden, levels = state
-    if masks is not None and (added := masks.get((levels, v))) is not None:
-        return forbidden | added
+    (_, finals), top, _ = search
     added = 0
     for q, below, above in finals:
         for lo, hi, values in levels[q]:
@@ -236,9 +236,7 @@ def _forbid(search, state, v: int) -> int:
                     lo = values[below] if below >= 0 else -1
                     hi = values[above] if above >= 0 else top
                     added |= (1 << hi) - (1 << lo + 1)
-    if masks is not None:
-        masks[levels, v] = added
-    return forbidden | added
+    return added
 
 
 def _grow(search, levels: tuple, v: int) -> tuple:
@@ -248,14 +246,9 @@ def _grow(search, levels: tuple, v: int) -> tuple:
     moves up one level, unless no value is left between its new bounds; a
     tuple on a pattern's last level forbids values instead (`_forbid`).  The
     tuples that reach a level merge into it through `_level_front`, which
-    keeps the level's front when the search was compiled with `cut`.  An
-    ascent search caches the child on (levels, v), and an equal child made
-    from other levels is replaced by the first one, so each distinct state
-    is one object.
+    keeps the level's front when the search was compiled with `cut`.
     """
-    (grows, _), top, roles, _, cache = search
-    if cache is not None and (child := cache.get((levels, v))) is not None:
-        return child
+    (grows, _), top, roles = search
     grown: dict[int, set] = {}
     for q, below, above in grows:
         for lo, hi, values in levels[q]:
@@ -271,11 +264,8 @@ def _grow(search, levels: tuple, v: int) -> tuple:
                 if hi - lo < 2:
                     continue
             grown.setdefault(q + 1, set()).add((lo, hi, values))
-    child = tuple(_level_front(roles[q], grown[q], entries) if q in grown else entries
-                  for q, entries in enumerate(levels))
-    if cache is not None:  # equal children become one object, itself a key of the cache
-        child = cache[levels, v] = cache.setdefault(child, child)
-    return child
+    return tuple(_level_front(roles[q], grown[q], entries) if q in grown else entries
+                 for q, entries in enumerate(levels))
 
 
 def _level_front(role, new: set, kept: frozenset) -> frozenset:
@@ -328,25 +318,37 @@ def _bits(mask: int) -> list[int]:
 
 
 class _AscentSearch:
-    """Ascent sequences of length n avoiding the patterns.  Nodes are
+    """Ascent sequences of length n avoiding the word patterns.  Nodes are
     (prefix, state, ascents, last entry, obligation); the root's -1s admit
-    only 0.  The obligation stays n here (`_AscentTable` lowers it).  The
-    search's transition table carries its own cache (`_forbid`, `_grow`), so
-    equal levels are one object, and the key is the node's state and
-    numbers with the depth in place of the prefix, in one flat tuple."""
+    only 0.  The obligation stays n here (`_AscentTable` lowers it).
+
+    The search caches its transition in two dicts keyed on (levels, v):
+    `masks` holds the mask that v adds, and `grown` the child's levels, each
+    of which is also its own key there, so equal levels are one object.  A
+    child one entry short of n looks up only its mask.  The key is the
+    node's state and numbers with the depth in place of the prefix, in one
+    flat tuple."""
+
+    validate = staticmethod(validate_word_pattern)
 
     def __init__(self, n: int, search, start) -> None:
-        self.n, self.search = n, search[:3] + ({}, {})
+        self.n, self.search, self.masks, self.grown = n, search, {}, {}
         self.root = ((), start, -1, -1, n)
 
     def children(self, node) -> list:
-        prefix, state, ascents, last, due = node
-        search, grow = self.search, len(prefix) + 2 < self.n
+        prefix, (forbidden, levels), ascents, last, due = node
+        search, masks, grown, out = self.search, self.masks, self.grown, []
+        grow = len(prefix) + 2 < self.n
         # not `self.leaves`: `_AscentTable` narrows only the last entry there
-        return [(prefix + (v,), (_forbid(search, state, v),
-                                 _grow(search, state[1], v) if grow else None),
-                 ascents + (v > last), v, due)
-                for v in _bits(((1 << ascents + 2) - 1) & ~state[0])]
+        for v in _bits(((1 << ascents + 2) - 1) & ~forbidden):
+            if (added := masks.get((levels, v))) is None:
+                added = masks[levels, v] = _forbid(search, levels, v)
+            child = None
+            if grow and (child := grown.get((levels, v))) is None:
+                child = _grow(search, levels, v)
+                child = grown[levels, v] = grown.setdefault(child, child)
+            out.append((prefix + (v,), (forbidden | added, child), ascents + (v > last), v, due))
+        return out
 
     @staticmethod
     def leaves(node) -> int:
@@ -386,31 +388,35 @@ class _AscentTable(_AscentSearch):
 
 
 class _PermSearch:
-    """Permutations of 1..n avoiding the patterns.  Nodes are
-    (prefix, state, mask of unused values)."""
+    """Permutations of 1..n avoiding the patterns.  Nodes are (prefix,
+    levels, mask of unused values), with no forbidden mask: a child whose
+    mask meets an unused value is dropped, so past the root no mask ever
+    does.  The root's unused values leave out the start mask, which only a
+    pattern of length <= 1 sets.  The transition is not cached (see the
+    module docstring)."""
+
+    validate = staticmethod(validate_permutation)
 
     def __init__(self, n: int, search, start) -> None:
         self.n, self.search = n, search
-        self.root = ((), start, (1 << n + 1) - 2)
+        self.root = ((), start[1], ((1 << n + 1) - 2) & ~start[0])
         self._codes: dict = {}
 
     def children(self, node) -> list:
-        prefix, state, unused = node
+        prefix, levels, unused = node
         search, grow, out = self.search, len(prefix) + 2 < self.n, []
-        for v in _bits(unused & ~state[0]):
+        for v in _bits(unused):
             rest = unused ^ (1 << v)
-            forbidden = _forbid(search, state, v)
-            if not forbidden & rest:  # else an unused value can never be placed
-                out.append((prefix + (v,),
-                            (forbidden, _grow(search, state[1], v) if grow else None), rest))
+            if not _forbid(search, levels, v) & rest:  # else an unused value can never be placed
+                out.append((prefix + (v,), _grow(search, levels, v) if grow else None, rest))
         return out
 
     @staticmethod
     def leaves(node) -> int:
-        return node[2] & ~node[1][0]
+        return node[2]
 
     def key(self, node) -> int:
-        _, (_, levels), unused = node
+        _, levels, unused = node
         codes, state = self._codes, 0
         for q, entries in enumerate(levels):
             for lo, hi, values in entries:
@@ -438,15 +444,15 @@ class _PermTable(_PermSearch):
         return not node[2] & (1 << node[0][-1]) - 1
 
 
-def _search(family: type, validate: Callable, n: int,
-            patterns: Iterable[Iterable[int]], cap: int | None, cut: bool = False) -> tuple:
+def _search(family: type, n: int, patterns: Iterable[Iterable[int]],
+            cap: int | None, cut: bool = False) -> tuple:
     """The checks every entry point makes, at its call, then its search: the
-    tree and the nodes it starts from (none under the empty pattern).  A
-    pattern longer than n cannot occur, so only the others are compiled;
-    `cut` goes to `_compile`, and a count or a table passes True.  A length
-    over `LENGTH_CEILING` is refused, whatever the cap, before anything is
-    compiled."""
-    checked = [validate(p) for p in patterns]
+    tree and the nodes it starts from (none under the empty pattern).  The
+    family validates its own patterns.  A pattern longer than n cannot
+    occur, so only the others are compiled; `cut` goes to `_compile`, and a
+    count or a table passes True.  A length over `LENGTH_CEILING` is
+    refused, whatever the cap, before anything is compiled."""
+    checked = [family.validate(p) for p in patterns]
     _check_length(n, cap)
     if n > LENGTH_CEILING:
         raise ValidationError(f"length {n} exceeds the search ceiling {LENGTH_CEILING}, "
@@ -528,7 +534,7 @@ def ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(ascent_sequences_avoiding(3, [(0, 2, 1)]))
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
-    return _walk(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap))
+    return _walk(*_search(_AscentSearch, n, patterns, cap))
 
 
 def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -540,7 +546,7 @@ def permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> list(permutations_avoiding(3, [(1, 3, 2)]))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    return _walk(*_search(_PermSearch, validate_permutation, n, patterns, cap))
+    return _walk(*_search(_PermSearch, n, patterns, cap))
 
 
 def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -552,7 +558,7 @@ def count_ascent_sequences_avoiding(n: int, patterns: Iterable[Iterable[int]] = 
     >>> count_ascent_sequences_avoiding(14, [(0, 2, 1)]) == catalan(14)
     True
     """
-    return _tally(*_search(_AscentSearch, validate_word_pattern, n, patterns, cap, True))
+    return _tally(*_search(_AscentSearch, n, patterns, cap, True))
 
 
 def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
@@ -564,7 +570,7 @@ def count_permutations_avoiding(n: int, patterns: Iterable[Iterable[int]] = (),
     >>> count_permutations_avoiding(13, [(1, 3, 2)]) == catalan(13)
     True
     """
-    return _tally(*_search(_PermSearch, validate_permutation, n, patterns, cap, True))
+    return _tally(*_search(_PermSearch, n, patterns, cap, True))
 
 
 @dataclass(frozen=True)
@@ -611,14 +617,22 @@ def _joint_table(family: type, n: int, patterns: Iterable[Iterable[int]],
     """The joint (asc, rlm) table of the objects of length n avoiding the
     patterns, for `_AscentTable` or `_PermTable`, by the memoized search:
     nothing is listed.  The checks are those of the family's stream."""
-    validate = validate_permutation if family is _PermTable else validate_word_pattern
-    tree, roots = _search(family, validate, n, patterns, cap, True)
+    tree, roots = _search(family, n, patterns, cap, True)
     width = factorial(n).bit_length()  # no cell can count more than n! objects
     tally, entries = _tally(tree, roots, width), {}
     for cell in range((n + 1) ** 2):
         if count := tally >> width * cell & (1 << width) - 1:
             entries[divmod(cell, n + 1)] = count
     return JointDistribution(entries, sum(entries.values()))
+
+
+def _theorem_tables(n: int, ascent_cap: int | None,
+                    perm_cap: int | None) -> tuple[JointDistribution, JointDistribution]:
+    """The joint (asc, rlm) tables of A_n(021) and S_n(132), the two sides of
+    the theorem, with both caps checked before either search."""
+    _check_length(n, ascent_cap, perm_cap)
+    return (_joint_table(_AscentTable, n, (PATTERN_021,), ascent_cap),
+            _joint_table(_PermTable, n, (PATTERN_132,), perm_cap))
 
 
 @dataclass(frozen=True)
@@ -658,8 +672,7 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     """
     _check_length(n, ascent_cap, perm_cap)
     cat = catalan(n)
-    table_a = _joint_table(_AscentTable, n, (PATTERN_021,), ascent_cap)
-    table_p = _joint_table(_PermTable, n, (PATTERN_132,), perm_cap)
+    table_a, table_p = _theorem_tables(n, ascent_cap, perm_cap)
     diff = table_a.difference(table_p)
 
     failure = None

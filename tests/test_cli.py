@@ -417,13 +417,14 @@ class TestDistribution:
 
     def test_nonempty_difference_still_exits_0(self, capsys, monkeypatch):
         # tally S_3(123) in place of S_3(132): the tables differ in two cells
-        import ascseq.cli as cli
-        original = cli._joint_table
+        import ascseq.enumeration as enumeration
+        original = enumeration._joint_table
 
         def table(family, n, patterns, cap):
-            return original(family, n, [(1, 2, 3)] if family is cli._PermTable else patterns, cap)
+            return original(family, n,
+                            [(1, 2, 3)] if family is enumeration._PermTable else patterns, cap)
 
-        monkeypatch.setattr(cli, "_joint_table", table)
+        monkeypatch.setattr(enumeration, "_joint_table", table)
         code, out, _ = run(capsys, "distribution", "3")
         assert code == 0
         assert out == ("n 3\n"

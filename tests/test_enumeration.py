@@ -26,7 +26,7 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from ascseq.core import is_ascent_sequence, is_permutation, validate_permutation
+from ascseq.core import is_ascent_sequence, is_permutation
 from ascseq.enumeration import (
     ASCENT_CAP,
     LENGTH_CEILING,
@@ -44,7 +44,7 @@ from ascseq.enumeration import (
     _search,
     _walk,
 )
-from ascseq.patterns import _avoider_stats, _first_021, validate_word_pattern
+from ascseq.patterns import _avoider_stats, _first_021
 from ascseq.stats import asc, rlm
 
 # every word pattern of length <= 3 (each letter 0..max used), 0101, and two
@@ -66,6 +66,10 @@ TABLE_WORD_PATTERNS = [[p] for p in ((0, 1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 
 TABLE_WORD_PATTERNS += [a + b for a, b in itertools.combinations(TABLE_WORD_PATTERNS, 2)]
 TABLE_PERM_PATTERNS = [[p] for p in ((1, 2, 3, 4), (2, 4, 1, 3), (2, 1, 3))]
 TABLE_PERM_PATTERNS += [a + b for a, b in itertools.combinations(TABLE_PERM_PATTERNS, 2)]
+# patterns of length <= 1: the empty one leaves no root, and a single letter
+# sets the start mask, which forbids every value
+TABLE_WORD_PATTERNS += [[(0,)]]
+TABLE_PERM_PATTERNS += [[(1,)], [()]]
 # images of 0 1 0 outside S_3(132), with their text
 IMAGES_OUTSIDE_S132 = [((1, 2, 3, 4), "1 2 3 4"), ((1, 1, 3), "1 1 3"), ((1, 3, 2), "1 3 2")]
 
@@ -201,7 +205,8 @@ class TestPermStreams:
 
 def advance(search, state, v):
     """The full transition: the state after appending v, both halves."""
-    return _forbid(search, state, v), _grow(search, state[1], v)
+    forbidden, levels = state
+    return forbidden | _forbid(search, levels, v), _grow(search, levels, v)
 
 
 class TestAvoidanceState:
@@ -347,29 +352,30 @@ class TestFullStates:
     child's dead-end test reads only its mask.  The objects are unchanged."""
 
     @staticmethod
-    def walk(monkeypatch, stream):
-        """The stream's objects, and how many states got their levels."""
-        import ascseq.enumeration as enumeration
-        real, built = enumeration._grow, [0]
+    def walk(family, n, pattern, levels_of):
+        """The stream's objects, and how many of its nodes carry levels."""
+        tree, roots = _search(family, n, [pattern], None)
+        expand, built = tree.children, [0]
 
-        def grow(*args):
-            built[0] += 1
-            return real(*args)
+        def children(node):
+            out = expand(node)
+            built[0] += sum(levels_of(child) is not None for child in out)
+            return out
 
-        monkeypatch.setattr(enumeration, "_grow", grow)
-        objects = list(stream)
+        tree.children = children
+        objects = list(_walk(tree, roots))
         assert objects == sorted(set(objects))
         return objects, built[0]
 
-    def test_021_at_11(self, monkeypatch):
-        objects, built = self.walk(monkeypatch, ascent_sequences_avoiding(11, [(0, 2, 1)]))
+    def test_021_at_11(self):
+        objects, built = self.walk(_AscentSearch, 11, (0, 2, 1), lambda node: node[1][1])
         assert len(objects) == catalan(11)
         assert all(is_ascent_sequence(x) and _first_021(x) is None for x in objects)
         # one per sequence of length 1..9: a child of length 10 gets only its mask
         assert built == sum(catalan(m) for m in range(1, 10)) == 6917
 
-    def test_132_at_9(self, monkeypatch):
-        objects, built = self.walk(monkeypatch, permutations_avoiding(9, [(1, 3, 2)]))
+    def test_132_at_9(self):
+        objects, built = self.walk(_PermSearch, 9, (1, 3, 2), lambda node: node[1])
         assert len(objects) == catalan(9)
         assert all(sorted(p) == [*range(1, 10)] and brute_avoids(p, (1, 3, 2))
                    for p in objects)
@@ -378,52 +384,65 @@ class TestFullStates:
 
 
 class TestTransitionCache:
-    """An ascent search caches its transition on (levels, v): `_forbid` the
-    mask that v adds, `_grow` the child's levels, one object per distinct
-    state.  A permutation search caches nothing."""
+    """An ascent search caches its transition in its own dicts, on (levels,
+    v): `masks` the mask that v adds, `grown` the child's levels, one object
+    per distinct state.  The transition itself and permutation searches
+    cache nothing."""
 
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("patterns", [(w,) for w in WORD_BANK] + WORD_PAIRS,
                              ids=map(str, WORD_BANK + WORD_PAIRS))
     def test_cached_equals_plain(self, patterns, cut):
-        plain, start = _compile(patterns, 8, cut)
-        cached = _AscentSearch(7, plain, start).search
-        stack, seen = [((), start, start)], 0
+        # every node of A_8 avoiding the patterns: each child's state is the
+        # plain transition's, and equal levels are one object
+        plain, start = _compile(patterns, 9, cut)
+        tree = _AscentSearch(8, plain, start)
+        stack, seen, interned = [(tree.root, start)], 0, {}
         while stack:
-            prefix, state, twin = stack.pop()
+            node, state = stack.pop()
             seen += 1
-            if len(prefix) < 7:
-                for v in TestAvoidanceState.ascent_values(prefix):
-                    expected, child = advance(plain, state, v), advance(cached, twin, v)
-                    assert child == expected, (patterns, prefix, v)
-                    assert _grow(cached, twin[1], v) is child[1]  # one object per state
-                    stack.append((prefix + (v,), expected, child))
-        assert seen == 1308
+            if len(node[0]) == 7:
+                continue
+            children = tree.children(node)
+            assert [child[3] for child in children] == [
+                v for v in TestAvoidanceState.ascent_values(node[0]) if not state[0] >> v & 1]
+            for child in children:
+                expected = advance(plain, state, child[3])
+                forbidden, levels = child[1]
+                assert forbidden == expected[0], (patterns, child[0])
+                if len(child[0]) == 7:  # one entry short of n: the mask only
+                    assert levels is None
+                else:
+                    assert levels == expected[1], (patterns, child[0])
+                    assert interned.setdefault(levels, levels) is levels
+                stack.append((child, expected))
+        assert seen == sum(all(brute_avoids(x, p) for p in patterns)
+                           for m in range(8) for x in ascent_sequences(m))
 
     def test_lookups_read_the_cache(self):
-        # a stored entry is what each half returns, so no lookup is bypassed
-        search, (forbidden, levels) = _compile([(0, 2, 1)], 4)
-        cached = _AscentSearch(3, search, (forbidden, levels)).search
-        masks, cache = cached[3:]
-        masks[levels, 1], cache[levels, 1] = 0b100, ("planted",)
-        assert _forbid(cached, (0b1, levels), 1) == 0b101
-        assert _grow(cached, levels, 1) == ("planted",)
+        # a stored entry is what the child gets, so no lookup is bypassed
+        search, start = _compile([(0, 2, 1)], 4)
+        tree = _AscentSearch(3, search, start)
+        tree.masks[start[1], 0], tree.grown[start[1], 0] = 0b100, ("planted",)
+        assert tree.children(tree.root) == [((0,), (0b100, ("planted",)), 0, 0, 3)]
 
     def test_stream_fills_the_cache(self):
         # A_11(021): 23,713 masks over 125 distinct (levels, v) and 6,917
         # level sets over 78, which give 35 distinct children
-        tree, roots = _search(_AscentSearch, validate_word_pattern, 11, [(0, 2, 1)], None)
+        tree, roots = _search(_AscentSearch, 11, [(0, 2, 1)], None)
         assert sum(1 for _ in _walk(tree, roots)) == catalan(11)
-        masks, cache = tree.search[3:]
-        assert len(masks) == 125
-        inputs = {key: child for key, child in cache.items() if isinstance(key[-1], int)}
-        assert len(inputs) == 78 and len(cache) == 78 + 35
-        assert all(cache[child] is child for child in inputs.values())
+        assert len(tree.masks) == 125
+        inputs = {key: child for key, child in tree.grown.items() if isinstance(key[-1], int)}
+        assert len(inputs) == 78 and len(tree.grown) == 78 + 35
+        assert all(tree.grown[child] is child for child in inputs.values())
 
     def test_permutation_search_stores_nothing(self):
-        tree, roots = _search(_PermSearch, validate_permutation, 8, [(2, 4, 1, 3)], None)
+        tree, roots = _search(_PermSearch, 8, [(2, 4, 1, 3)], None)
         assert sum(1 for _ in _walk(tree, roots)) == 15485
-        assert tree.search[3:] == (None, None)
+        # the plain table, and no state beyond the key's codes, which a
+        # stream never fills
+        assert tree.search == _compile([(2, 4, 1, 3)], 9)[0]
+        assert vars(tree).keys() == {"n", "search", "root", "_codes"} and not tree._codes
 
     def test_searches_share_nothing(self):
         # searches pulled in turn in one process, each against brute force;
@@ -443,7 +462,8 @@ class TestTransitionCache:
 class TestFrontCuts:
     """`_AscentTable` makes two children per value, declared minimum or not,
     that share one level tuple, and `_grow` cuts that tuple to its front as
-    it builds it.  At n = 20 that is 13,552 cuts, where one per child made
+    it builds it, once per distinct (levels, v) of the search: at n = 20
+    that is 19 cuts for 13,552 grown levels, where one cut per child made
     17,379.  Streams keep the uncut transition."""
 
     def test_no_more_cuts_than_grown_levels(self, monkeypatch):
