@@ -201,9 +201,7 @@ def format_seq(values: Sequence[int]) -> str:
     >>> format_seq(())
     'ε'
     """
-    if not values:
-        return EMPTY_TEXT
-    return " ".join(map(str, values))
+    return " ".join(["%d"] * len(values)) % tuple(values) or EMPTY_TEXT
 
 
 def format_seqs(objects: Iterable[tuple[int, ...]]) -> Iterator[str]:

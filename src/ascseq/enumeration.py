@@ -66,8 +66,11 @@ the entries after it, so that search guesses and checks (`_AscentTable`):
 a declared minimum forbids every later value at or below it, and the key
 gains the smallest obligation still open.  `verify_equidistribution` and
 the CLI's `distribution` compare these tables, which `_theorem_tables`
-builds; verify's map check then walks the stream of sequences once and
-keeps neither family.
+builds under one cap, the ascent cap: neither table lists an object, so the
+permutation cap, which guards walks of S_n, has nothing there to bound, and
+`distribution` runs to n = 20.  Verify's map check then walks the stream of
+C_n sequences once and keeps neither family; that walk is what the
+permutation cap still bounds, so `verify` checks both caps.
 
 All four entry points and `_joint_table` share one front end, `_search`:
 it validates the patterns with the family's validator and checks the
@@ -626,13 +629,13 @@ def _joint_table(family: type, n: int, patterns: Iterable[Iterable[int]],
     return JointDistribution(entries, sum(entries.values()))
 
 
-def _theorem_tables(n: int, ascent_cap: int | None,
-                    perm_cap: int | None) -> tuple[JointDistribution, JointDistribution]:
+def _theorem_tables(n: int, cap: int | None) -> tuple[JointDistribution, JointDistribution]:
     """The joint (asc, rlm) tables of A_n(021) and S_n(132), the two sides of
-    the theorem, with both caps checked before either search."""
-    _check_length(n, ascent_cap, perm_cap)
-    return (_joint_table(_AscentTable, n, (PATTERN_021,), ascent_cap),
-            _joint_table(_PermTable, n, (PATTERN_132,), perm_cap))
+    the theorem.  Both tables come from the memoized search, which lists
+    neither family, so one cap bounds both; the first search checks it (and
+    the ceiling) before anything is compiled."""
+    return (_joint_table(_AscentTable, n, (PATTERN_021,), cap),
+            _joint_table(_PermTable, n, (PATTERN_132,), cap))
 
 
 @dataclass(frozen=True)
@@ -662,17 +665,20 @@ def verify_equidistribution(n: int, *, ascent_cap: int | None = ASCENT_CAP,
     132-avoiding permutation with the same statistics and round-trips back.
 
     Both caps and the Catalan range are checked before any search.  The
-    tables come from the memoized search (`_joint_table`), so (a) and (b)
-    list nothing; (c) walks the stream of sequences once and keeps none of
-    them, nor any permutation.  An image is in the family iff it is a
-    permutation of 1..n with no 132; one right-to-left pass over it
-    (`patterns._avoider_stats`) decides that and gives its (asc, rlm).
-    Since every earlier image round-trips, x repeats an earlier image iff
-    the preimage of its image is an earlier sequence that maps there too.
+    tables come from the memoized search (`_theorem_tables`, under the
+    ascent cap), so (a) and (b) list nothing; (c) walks the stream of all
+    C_n sequences once and keeps none of them, nor any permutation.  That
+    walk is what the permutation cap bounds: with both caps lifted, only the
+    Catalan range (n <= 30) bounds it, and C_21 is about 2.4e10 already.
+    An image is in the family iff it is a permutation of 1..n with no 132;
+    one right-to-left pass over it (`patterns._avoider_stats`) decides that
+    and gives its (asc, rlm).  Since every earlier image round-trips, x
+    repeats an earlier image iff the preimage of its image is an earlier
+    sequence that maps there too.
     """
     _check_length(n, ascent_cap, perm_cap)
     cat = catalan(n)
-    table_a, table_p = _theorem_tables(n, ascent_cap, perm_cap)
+    table_a, table_p = _theorem_tables(n, ascent_cap)
     diff = table_a.difference(table_p)
 
     failure = None

@@ -415,6 +415,21 @@ class TestDistribution:
                        "difference none\n"
                        "verdict pass\n")
 
+    @pytest.mark.parametrize("n, total", [(14, 2674440), (20, 6564120420)])
+    def test_past_the_permutation_cap_lists_nothing(self, capsys, monkeypatch, n, total):
+        # tripwire: both tables come from the memoized tally, never a walk,
+        # so the permutation cap does not apply up to the ascent cap
+        def fail(*args):
+            raise AssertionError("distribution walked a family")
+
+        monkeypatch.setattr("ascseq.enumeration._walk", fail)
+        code, out, err = run(capsys, "distribution", str(n))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"n {n}"
+        assert f"A021 total {total}" in lines and f"S132 total {total}" in lines
+        assert lines[-2:] == ["difference none", "verdict pass"]
+
     def test_nonempty_difference_still_exits_0(self, capsys, monkeypatch):
         # tally S_3(123) in place of S_3(132): the tables differ in two cells
         import ascseq.enumeration as enumeration
@@ -588,9 +603,10 @@ class TestVerify:
 
 
 class TestCapsBeforeWork:
-    """`verify` and `distribution` check both length caps, and `verify` the
-    Catalan range, before any search; every search checks the length ceiling
-    before it is built."""
+    """`verify` checks both length caps and the Catalan range before any
+    search; `distribution`, which lists nothing, checks only the ascent cap,
+    before either table's search is built; every search checks the length
+    ceiling before it is built."""
 
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
@@ -599,11 +615,17 @@ class TestCapsBeforeWork:
 
         monkeypatch.setattr("ascseq.enumeration._compile", fail)
 
-    @pytest.mark.parametrize("argv", [("verify", "14"), ("distribution", "14")])
+    @pytest.mark.parametrize("argv", [("verify", "14")])
     def test_permutation_cap_fails_first(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "exceeds the enumeration cap 13" in err
+        assert "internal error" not in err
+
+    def test_distribution_ascent_cap_fails_first(self, capsys):
+        code, out, err = run(capsys, "distribution", "21")
+        assert (code, out) == (2, "")
+        assert "exceeds the enumeration cap 20" in err
         assert "internal error" not in err
 
     @pytest.mark.parametrize("argv", [("count", "ascent", "1001", "--avoid", "021"),

@@ -18,6 +18,7 @@ from ascseq import (
     validate_ascent_sequence,
     validate_permutation,
 )
+from ascseq.core import format_seqs
 
 
 class TestValidateAscentSequence:
@@ -148,6 +149,15 @@ class TestTextForms:
     def test_round_trip_through_text(self):
         for seq in [(), (0,), (0, 1, 0), (3, 1, 2), (10, 0, 7)]:
             assert parse_seq(format_seq(seq)) == seq
+
+    @pytest.mark.parametrize("seq", [(False,), (False, True, True), (0, True, 2),
+                                     (True, False), (False, 1, False, 1, True),
+                                     validate_ascent_sequence([False, True, True])])
+    def test_bools_format_as_integers(self, seq):
+        # bools count as integers, so they print as 0/1, the way a listing does
+        assert parse_seq(format_seq(seq)) == seq
+        assert format_seq(seq) == next(format_seqs([seq]))
+        assert "True" not in format_seq(seq) and "False" not in format_seq(seq)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):

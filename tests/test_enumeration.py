@@ -42,6 +42,7 @@ from ascseq.enumeration import (
     _PermSearch,
     _PermTable,
     _search,
+    _theorem_tables,
     _walk,
 )
 from ascseq.patterns import _avoider_stats, _first_021
@@ -708,6 +709,15 @@ class TestCaps:
         with pytest.raises(ValidationError,
                            match=f"length {LENGTH_CEILING + 1} exceeds the search ceiling"):
             search(LENGTH_CEILING + 1)
+
+    def test_theorem_tables_check_the_cap_before_compiling(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran before the cap was checked")
+
+        monkeypatch.setattr("ascseq.enumeration._compile", no_search)
+        monkeypatch.setattr("ascseq.enumeration.factorial", no_search)
+        with pytest.raises(ValidationError, match="exceeds the enumeration cap 20"):
+            _theorem_tables(21, ASCENT_CAP)
 
     def test_verify_checks_both_caps_before_listing(self, monkeypatch):
         # n = 14 is within the ascent cap but over the permutation cap; the
