@@ -14,23 +14,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijection import ascent_to_permutation, permutation_to_ascent
-from .core import ValidationError, format_seq, format_seqs, parse_seq, validate_permutation
+from .core import EMPTY_TEXT, ValidationError, format_seq, parse_seq, validate_permutation
 from .enumeration import (
     ASCENT_CAP,
     PERM_CAP,
+    _AscentSearch,
     _check_length,
+    _groups,
+    _PermSearch,
+    _search,
     _theorem_tables,
-    ascent_sequences_avoiding,
+    _walk,
     catalan,
     count_ascent_sequences_avoiding,
     count_permutations_avoiding,
-    permutations_avoiding,
     verify_equidistribution,
 )
 from .stats import asc, rlm, special_maximum
@@ -118,13 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         result = args.handler(args)
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(result.header)
-            writer.writerows(result.rows)
-        else:
-            for line in result.plain if args.format == "plain" else result.json:
-                print(line)
+        for line in getattr(result, args.format):
+            print(line)
         return result.code
     except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
@@ -139,15 +138,27 @@ def main(argv: list[str] | None = None) -> int:
 class Result(NamedTuple):
     """What a command prints, in each format, and its exit code.
 
-    The iterables are lazy: `main` consumes only the one its format selects,
-    so `enumerate` streams, and json documents are built only for json.
+    Each format is an iterable of lines, which `main` prints with their line
+    ends; a listing passes a block of lines as one.  The iterables are lazy:
+    `main` consumes only the one its format selects, so `enumerate` streams,
+    and json documents are built only for json.
     """
 
     plain: Iterable[str]
     json: Iterable[str]  # one serialized document per line
-    header: list[str]  # csv
-    rows: Iterable[list]  # csv
+    csv: Iterable[str]  # `_csv` renders a header and rows
     code: int = 0
+
+
+def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
+    """The csv lines of the header and the rows, lazily, through one writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in chain([header], rows):
+        writer.writerow(row)
+        yield buffer.getvalue()[:-1]  # the writer ends each row with the terminator
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def _document(build: Callable[[], object]) -> Iterator[str]:
@@ -155,12 +166,26 @@ def _document(build: Callable[[], object]) -> Iterator[str]:
     yield json.dumps(build(), **_JSON_OPTS)
 
 
-def _listing(objects: Iterable[tuple[int, ...]], json_lines: Iterable[str]) -> Result:
-    """One object per plain line, or per csv row under an `object` column.
-    Only one format is printed, so both read the same texts; an object's
-    text never needs csv quoting."""
-    texts = format_seqs(objects)
-    return Result(texts, json_lines, ["object"], zip(texts))
+def _listing(lines: Iterable[str], json_lines: Iterable[str]) -> Result:
+    """One object per plain line, or per csv line under an `object` header.
+    An object's text never needs csv quoting, and only one format is
+    printed, so both read the same lines."""
+    return Result(lines, json_lines, chain(["object"], lines))
+
+
+def _blocks(groups: Iterable[tuple], n: int) -> Iterator[str]:
+    """The lines of a listing of length n, one block per leaf group
+    (`enumeration._groups`).  A group's prefix goes through the length's
+    "%d" template once, and each last entry adds its precomputed text, so an
+    object costs one concatenation; the bytes are those of `format_seq`."""
+    head = " ".join(["%d"] * (n - 1))
+    ends = [("%d" if n == 1 else " %d") % v for v in range(n + 1)]  # a last entry is at most n
+    for prefix, lasts in groups:
+        if lasts is None:  # n = 0: the empty object
+            yield EMPTY_TEXT
+        else:
+            text = head % prefix
+            yield "\n".join([text + ends[v] for v in lasts])
 
 
 def _caps(args) -> tuple[int | None, int | None]:
@@ -178,10 +203,12 @@ def _cmd_enumerate(args) -> Result:
     ascent_cap, perm_cap = _caps(args)
     patterns = [parse_seq(text) for text in args.avoid]
     if args.kind == "ascent":
-        stream = ascent_sequences_avoiding(args.n, patterns, cap=ascent_cap)
+        tree, roots = _search(_AscentSearch, args.n, patterns, ascent_cap)
     else:
-        stream = permutations_avoiding(args.n, patterns, cap=perm_cap)
-    return _listing(stream, _document(lambda: [list(obj) for obj in stream]))
+        tree, roots = _search(_PermSearch, args.n, patterns, perm_cap)
+    # only one format is printed, so the two walks never share the stack
+    return _listing(_blocks(_groups(tree, roots), args.n),
+                    _document(lambda: [list(obj) for obj in _walk(tree, roots)]))
 
 
 def _cmd_count(args) -> Result:
@@ -191,7 +218,7 @@ def _cmd_count(args) -> Result:
         total = count_ascent_sequences_avoiding(args.n, patterns, cap=ascent_cap)
     else:
         total = count_permutations_avoiding(args.n, patterns, cap=perm_cap)
-    return Result([str(total)], [json.dumps(total)], ["count"], [[total]])
+    return Result([str(total)], [json.dumps(total)], _csv(["count"], [[total]]))
 
 
 _STATS_COLUMNS = ["object", "asc", "rlm", "special_max", "run_start", "run_end", "repeated"]
@@ -212,9 +239,8 @@ def _cmd_stats(args) -> Result:
     header = _STATS_COLUMNS if args.kind == "ascent" else _STATS_COLUMNS[:3]
     return Result((_stats_line(row) for row in rows),
                   (json.dumps(row, **_JSON_OPTS) for row in rows),
-                  header,
-                  (["" if row[key] is None else row[key] for key in header]
-                   for row in rows))
+                  _csv(header, (["" if row[key] is None else row[key] for key in header]
+                                for row in rows)))
 
 
 def _stats_line(row: dict) -> str:
@@ -231,7 +257,7 @@ def _cmd_map(args) -> Result:
     apply = ascent_to_permutation if args.direction == "forward" else permutation_to_ascent
     images = [apply(parse_seq(text)) for text in _input_texts(args)]
     # default separators: map json is "[2, 3, 1]", unlike the other commands
-    return _listing(images, (json.dumps(list(image)) for image in images))
+    return _listing(map(format_seq, images), (json.dumps(list(image)) for image in images))
 
 
 def _cmd_distribution(args) -> Result:
@@ -262,9 +288,9 @@ def _cmd_distribution(args) -> Result:
             "difference": [[a, r, delta] for (a, r), delta in diff.items()],
             "verdict": verdict,
         }),
-        ["n", "family", "asc", "rlm", "count"],
-        ([args.n, family, a, r, count] for family, table in tables.items()
-         for (a, r), count in table.sorted_items()))
+        _csv(["n", "family", "asc", "rlm", "count"],
+             ([args.n, family, a, r, count] for family, table in tables.items()
+              for (a, r), count in table.sorted_items())))
 
 
 def _cmd_verify(args) -> Result:
@@ -295,9 +321,9 @@ def _cmd_verify(args) -> Result:
                         for r in reports],
             "verdict": verdict,
         }),
-        ["n", "passed", "total", "catalan", "failure"],
-        ([r.n, r.passed, r.ascent_table.total, r.catalan_value, r.failure or ""]
-         for r in reports),
+        _csv(["n", "passed", "total", "catalan", "failure"],
+             ([r.n, r.passed, r.ascent_table.total, r.catalan_value, r.failure or ""]
+              for r in reports)),
         0 if verdict == "pass" else 1)
 
 

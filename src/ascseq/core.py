@@ -18,8 +18,7 @@ string ("010122").  Output always uses the spaced form.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 EMPTY_TEXT = "ε"
 
@@ -203,14 +202,3 @@ def format_seq(values: Sequence[int]) -> str:
     """
     return " ".join(["%d"] * len(values)) % tuple(values) or EMPTY_TEXT
 
-
-def format_seqs(objects: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    """`format_seq` of each tuple of ints in turn, lazily.  Each run of
-    tuples of one length n goes through one `%` format, "%d" n times or "ε",
-    so a listing costs no Python call per object.
-
-    >>> list(format_seqs([(0, 10, -1), (1, 2, 3), (), (7,)]))
-    ['0 10 -1', '1 2 3', 'ε', '7']
-    """
-    for n, run in groupby(objects, len):
-        yield from map((" ".join(["%d"] * n) or EMPTY_TEXT).__mod__, run)

@@ -29,14 +29,23 @@ A_11(021) updates 23,713 masks from 125 distinct inputs and builds 6,917
 level sets from 78, and the A_20(021) table grows 13,552 from 19.  So the
 transition is mostly a lookup, and equal levels are one object, which the
 cache and the memo compare by identity.  A permutation state holds absolute
-values and rarely recurs (streaming S_8(2413) makes 30,658 distinct inputs
-in 36,765 calls), so a permutation search calls the transition directly:
-caching it too made the walks of S_8(2413) and S_8(25314) about 1.6 times
-slower, with the kept states to allocate and trace.  The caches are
-discarded with their search.
+values and in general rarely recurs (streaming S_8(2413) makes 30,658
+distinct inputs in 36,765 calls): caching it made the walks of S_8(2413)
+and S_8(25314) about 1.6 times slower, with the kept states to allocate and
+trace.  But when every compiled pattern has length <= 3, a pattern's first
+level holds only the empty realisation and its last one single used
+values, so the levels are a function of the set of used values, which
+recurs: streaming S_9(132) meets 1,279 distinct (levels, v).  So a
+permutation search caches its transition exactly then, as the patterns
+decide, and otherwise calls it directly.  The caches are discarded with
+their search.
 
 Streams walk the tree with an explicit stack, in lexicographic order with no
 duplicates, and build the levels of each node they expand exactly once.
+They walk it by leaf group (`_groups`): each node one entry short of n
+gives its prefix and the last entries its mask allows, so a listing
+formats each prefix once (the CLI's `enumerate`), and `_walk` expands the
+groups to objects.
 Counts walk the same tree, but memoize the number of objects below each
 node on a canonical key: for ascent sequences (levels, mask, last entry,
 ascents, obligation, depth), as the interned levels are their own canonical
@@ -395,23 +404,43 @@ class _PermSearch:
     levels, mask of unused values), with no forbidden mask: a child whose
     mask meets an unused value is dropped, so past the root no mask ever
     does.  The root's unused values leave out the start mask, which only a
-    pattern of length <= 1 sets.  The transition is not cached (see the
-    module docstring)."""
+    pattern of length <= 1 sets.
+
+    When every compiled pattern has length <= 3, the levels are a function
+    of the set of used values, which recurs, so the search caches its
+    transition in `masks` and `grown` as `_AscentSearch` does.  Otherwise
+    the states rarely recur, the search calls the transition directly, and
+    the two stay None (see the module docstring)."""
 
     validate = staticmethod(validate_permutation)
+    masks = grown = None  # the transition's caches, when every pattern has length <= 3
 
     def __init__(self, n: int, search, start) -> None:
         self.n, self.search = n, search
         self.root = ((), start[1], ((1 << n + 1) - 2) & ~start[0])
         self._codes: dict = {}
+        (grows, finals), _, _ = search
+        if {q + 1 for q, _, _ in grows} <= {q for q, _, _ in finals}:  # no pattern is longer than 3
+            self.masks, self.grown = {}, {}
 
     def children(self, node) -> list:
         prefix, levels, unused = node
-        search, grow, out = self.search, len(prefix) + 2 < self.n, []
+        search, masks, grown = self.search, self.masks, self.grown
+        grow, out = len(prefix) + 2 < self.n, []
         for v in _bits(unused):
-            rest = unused ^ (1 << v)
-            if not _forbid(search, levels, v) & rest:  # else an unused value can never be placed
-                out.append((prefix + (v,), _grow(search, levels, v) if grow else None, rest))
+            rest = unused ^ (1 << v)  # a child whose mask meets it can never place it
+            if masks is None:
+                if not _forbid(search, levels, v) & rest:
+                    out.append((prefix + (v,), _grow(search, levels, v) if grow else None, rest))
+                continue
+            if (added := masks.get((levels, v))) is None:
+                added = masks[levels, v] = _forbid(search, levels, v)
+            if not added & rest:
+                child = None
+                if grow and (child := grown.get((levels, v))) is None:
+                    child = _grow(search, levels, v)
+                    child = grown[levels, v] = grown.setdefault(child, child)
+                out.append((prefix + (v,), child, rest))
         return out
 
     @staticmethod
@@ -464,19 +493,33 @@ def _search(family: type, n: int, patterns: Iterable[Iterable[int]],
     return tree, [] if any(not p for p in checked) else [tree.root]
 
 
-def _walk(tree, stack: list) -> Iterator[tuple[int, ...]]:
-    """Every object below the nodes on the stack, in lexicographic order."""
-    last_depth = tree.n - 1
+def _groups(tree, stack: list) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
+    """Every object below the nodes on the stack, in lexicographic order, by
+    leaf group: (prefix, last entries) for each node one entry short of n
+    that has any, the entries its `leaves` mask allows, ascending.  At n = 0
+    the root is the one object, and its group is ((), None)."""
+    last_depth, children, leaves = tree.n - 1, tree.children, tree.leaves
     while stack:
         node = stack.pop()
         prefix = node[0]
         if len(prefix) == last_depth:
-            for v in _bits(tree.leaves(node)):
-                yield prefix + (v,)
-        elif len(prefix) > last_depth:  # n = 0: the root is the empty object
+            if lasts := _bits(leaves(node)):
+                yield prefix, lasts
+        elif len(prefix) > last_depth:
+            yield prefix, None
+        else:
+            stack += reversed(children(node))
+
+
+def _walk(tree, stack: list) -> Iterator[tuple[int, ...]]:
+    """Every object below the nodes on the stack, in lexicographic order:
+    the leaf groups of `_groups`, each expanded to its objects."""
+    for prefix, lasts in _groups(tree, stack):
+        if lasts is None:  # n = 0: the root is the empty object
             yield prefix
         else:
-            stack += reversed(tree.children(node))
+            for v in lasts:
+                yield prefix + (v,)
 
 
 def _tally(tree, roots: list, width: int = 0) -> int:

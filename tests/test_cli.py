@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ascseq import format_seq, permutations_avoiding
+from ascseq import ascent_sequences_avoiding, format_seq, parse_seq, permutations_avoiding
 from ascseq.cli import main
 
 
@@ -105,6 +105,66 @@ class TestListingBytes:
     def test_length_zero_prints_epsilon(self, capsys, kind, fmt, expected):
         code, out, err = run(capsys, "enumerate", kind, "0", "--format", fmt)
         assert (code, out, err) == (0, expected, "")
+
+
+class TestListingTexts:
+    """`enumerate` prints each leaf group of the search as one block of
+    lines; plain and csv lines are `format_seq` of the library's stream,
+    object by object, at every small length and under every kind of pattern
+    set: none, single, a pair, the empty pattern (nothing is listed) and one
+    longer than n (it cannot occur)."""
+
+    ASCENT = [[], ["021"], ["0101"], ["021", "0101"], ["00", "012"], [""],
+              ["0 1 2 3 4 5 6 7 8 9"]]
+    PERM = [[], ["132"], ["2413"], ["132", "2413"], [""], ["1 2 3 4 5 6 7 8 9 10"]]
+    CASES = [("ascent", ascent_sequences_avoiding, p) for p in ASCENT] + \
+        [("perm", permutations_avoiding, p) for p in PERM]
+
+    @staticmethod
+    def check(capsys, kind, stream, n, patterns):
+        texts = [format_seq(x) for x in stream(n, [parse_seq(p) for p in patterns])]
+        argv = ["enumerate", kind, str(n)] + [f"--avoid={p}" for p in patterns]
+        for fmt, expected in (("plain", texts), ("csv", ["object", *texts])):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out.endswith("\n") or not expected
+            assert out.splitlines() == expected, (argv, fmt)
+        return texts
+
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("kind, stream, patterns", CASES,
+                             ids=[f"{kind}-{'+'.join(p) or 'none'}" for kind, _, p in CASES])
+    def test_lines_are_format_seq(self, capsys, kind, stream, n, patterns):
+        texts = self.check(capsys, kind, stream, n, patterns)
+        if patterns == [""]:
+            assert texts == []
+        elif n == 0:
+            assert texts == ["ε"]
+
+    def test_entries_past_nine(self, capsys):
+        texts = self.check(capsys, "perm", permutations_avoiding, 11, ["132"])
+        assert len(texts) == 58786
+        assert any(t.startswith("11 ") for t in texts) and any(t.endswith(" 10") for t in texts)
+
+
+class TestBrokenPipe:
+    """A reader that stops early ends a listing quietly: in a fresh process,
+    closing the pipe after one line gives exit 0 and nothing on stderr."""
+
+    @pytest.mark.parametrize("fmt, first", [("plain", b"0 0 0 0 0 0 0 0 0 0 0 0\n"),
+                                            ("csv", b"object\n")], ids=["plain", "csv"])
+    def test_reader_closes_after_one_line(self, fmt, first):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "ascseq.cli", "enumerate", "ascent", "12",
+                "--avoid", "021", "--format", fmt]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as child:
+            line = child.stdout.readline()
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert (line, child.returncode, err) == (first, 0, b"")
 
 
 class TestCount:

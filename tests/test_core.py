@@ -18,7 +18,7 @@ from ascseq import (
     validate_ascent_sequence,
     validate_permutation,
 )
-from ascseq.core import format_seqs
+from ascseq.cli import _blocks
 
 
 class TestValidateAscentSequence:
@@ -156,7 +156,7 @@ class TestTextForms:
     def test_bools_format_as_integers(self, seq):
         # bools count as integers, so they print as 0/1, the way a listing does
         assert parse_seq(format_seq(seq)) == seq
-        assert format_seq(seq) == next(format_seqs([seq]))
+        assert format_seq(seq) == next(_blocks([(seq[:-1], [seq[-1]])], len(seq)))
         assert "True" not in format_seq(seq) and "False" not in format_seq(seq)
 
     def test_garbage_rejected(self):

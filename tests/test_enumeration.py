@@ -37,6 +37,7 @@ from ascseq.enumeration import (
     _bits,
     _compile,
     _forbid,
+    _groups,
     _grow,
     _joint_table,
     _PermSearch,
@@ -384,11 +385,49 @@ class TestFullStates:
         assert built <= 7071
 
 
+class TestLeafGroups:
+    """Streams hand out leaf groups: each node one entry short of n, with the
+    last entries its mask allows, ascending; a node that allows none gives no
+    group.  At n = 0 the root's empty object is the one group."""
+
+    CASES = [(_AscentSearch, [(0, 2, 1)]), (_AscentSearch, [(0, 0), (0, 1, 2)]),
+             (_PermSearch, [(1, 3, 2)]), (_PermSearch, [(2, 4, 1, 3)]), (_PermSearch, [(1,)])]
+
+    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("family, patterns", CASES, ids=map(str, CASES))
+    def test_groups_are_the_stream_by_prefix(self, family, patterns, n):
+        groups = list(_groups(*_search(family, n, patterns, None)))
+        objects = list(_walk(*_search(family, n, patterns, None)))
+        if n == 0:
+            assert groups == [((), None)] and objects == [()]
+            return
+        assert all(len(prefix) == n - 1 and lasts and lasts == sorted(set(lasts))
+                   for prefix, lasts in groups)
+        assert len({prefix for prefix, _ in groups}) == len(groups)
+        assert [prefix + (v,) for prefix, lasts in groups for v in lasts] == objects
+
+    def test_a_node_with_no_last_entry_gives_no_group(self):
+        # under 00 and 012, the node (0, 1) of A_3 allows no last entry
+        tree, roots = _search(_AscentSearch, 3, [(0, 0), (0, 1, 2)], None)
+        (first,) = tree.children(tree.root)
+        (second,) = tree.children(first)
+        assert second[0] == (0, 1) and tree.leaves(second) == 0
+        assert list(_groups(tree, roots)) == []
+
+    def test_empty_pattern_gives_no_group(self):
+        for family in (_AscentSearch, _PermSearch):
+            assert list(_groups(*_search(family, 3, [()], None))) == []
+
+
 class TestTransitionCache:
     """An ascent search caches its transition in its own dicts, on (levels,
     v): `masks` the mask that v adds, `grown` the child's levels, one object
-    per distinct state.  The transition itself and permutation searches
-    cache nothing."""
+    per distinct state.  A permutation search does too exactly when every
+    pattern it compiles has length <= 3; the transition itself and the other
+    permutation searches cache nothing."""
+
+    SHORT_PERMS = [(p,) for p in PERM_BANK if len(p) <= 3]
+    SHORT_PERMS += [a + b for a, b in itertools.combinations(SHORT_PERMS, 2)]
 
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("patterns", [(w,) for w in WORD_BANK] + WORD_PAIRS,
@@ -436,6 +475,53 @@ class TestTransitionCache:
         inputs = {key: child for key, child in tree.grown.items() if isinstance(key[-1], int)}
         assert len(inputs) == 78 and len(tree.grown) == 78 + 35
         assert all(tree.grown[child] is child for child in inputs.values())
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("patterns", SHORT_PERMS, ids=map(str, SHORT_PERMS))
+    def test_cached_permutation_search_equals_plain(self, patterns, cut):
+        # every node of S_8 avoiding the patterns: the children are the live
+        # values of the plain transition, in order, each child's levels are
+        # the plain transition's, and equal levels are one object
+        plain, start = _compile(patterns, 9, cut)
+        tree = _PermSearch(8, plain, start)
+        assert tree.masks == tree.grown == {}
+        stack, interned = [(tree.root, start)], {}
+        while stack:
+            node, state = stack.pop()
+            prefix, _, unused = node
+            if len(prefix) == 7:
+                continue
+            expected = [(v, after) for v in _bits(unused)
+                        if not (after := advance(plain, state, v))[0] & unused & ~(1 << v)]
+            children = tree.children(node)
+            assert [child[0] for child in children] == [prefix + (v,) for v, _ in expected]
+            for child, (_, after) in zip(children, expected):
+                if len(child[0]) == 7:  # one entry short of n: no levels
+                    assert child[1] is None
+                else:
+                    assert child[1] == after[1], (patterns, child[0])
+                    assert interned.setdefault(child[1], child[1]) is child[1]
+                stack.append((child, after))
+
+    def test_permutation_stream_fills_the_cache(self):
+        # S_9(132): 1,279 masks over distinct (levels, v), and 501 level sets
+        # that give 255 distinct children
+        tree, roots = _search(_PermSearch, 9, [(1, 3, 2)], None)
+        assert sum(1 for _ in _walk(tree, roots)) == catalan(9)
+        assert len(tree.masks) == 1279
+        inputs = {key: child for key, child in tree.grown.items() if isinstance(key[-1], int)}
+        assert len(inputs) == 501 and len(tree.grown) == 501 + 255
+        assert all(tree.grown[child] is child for child in inputs.values())
+
+    def test_a_longer_pattern_keeps_the_direct_calls(self):
+        # 2413 beside 132 leaves the search uncached, unless it is longer
+        # than n and so not compiled
+        patterns = [(1, 3, 2), (2, 4, 1, 3)]
+        tree, roots = _search(_PermSearch, 8, patterns, None)
+        assert sum(1 for _ in _walk(tree, roots)) == count_permutations_avoiding(8, patterns)
+        assert tree.masks is None and tree.grown is None
+        assert vars(tree).keys() == {"n", "search", "root", "_codes"}
+        assert _search(_PermSearch, 3, patterns, None)[0].masks == {}
 
     def test_permutation_search_stores_nothing(self):
         tree, roots = _search(_PermSearch, 8, [(2, 4, 1, 3)], None)

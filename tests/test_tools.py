@@ -1,6 +1,6 @@
 """Smoke tests of the checked-in tools: the layer bench, which reaches into
-the search's private names (`_joint_table`, `_AscentTable`) and so breaks
-silently when they change, and the statement count."""
+the search's private names (`_joint_table`, `_AscentTable`) and the CLI
+module, and so breaks silently when they change, and the statement count."""
 
 import ast
 import subprocess
@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ["count A12(021)", "walk S9(132)", "table A20(021)"]
+CASES = ["count A12(021)", "walk S9(132)", "table A20(021)", "list S9(132)"]
 
 
 def test_transition_bank_runs_on_this_tree():

@@ -1,5 +1,5 @@
-"""Layer bench of the search: walks, counts and a joint table, timed in one
-process for one or two source trees.
+"""Layer bench of the search: walks, counts, a joint table and two csv
+listings, timed in one process for one or two source trees.
 
     python3 tools/transition_bank.py TREE [TREE2] [--rounds K] [--case NAME ...]
 
@@ -11,14 +11,19 @@ result.  Each row reports the best and the median of the K rounds per tree
 in milliseconds, and, for two trees, the ratio of the medians (second over
 first) and the number of rounds the second tree was faster in.
 
-The timings are of the search alone: patterns and lengths are fixed, and
-nothing is printed or parsed.
+The walk, count and table rows time the search alone: patterns and lengths
+are fixed, and nothing is printed or parsed.  The list rows time a whole
+`cli.main` call of a csv listing, parsing and formatting included, with
+stdout sent to a StringIO.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
 import statistics
 import sys
 from pathlib import Path
@@ -34,6 +39,7 @@ def load(tree: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")  # outside the timings
     return module
 
 
@@ -43,6 +49,15 @@ def _walk(stream: str, n: int, pattern: tuple[int, ...]):
 
 def _count(count: str, n: int, pattern: tuple[int, ...]):
     return lambda m: getattr(m, count)(n, [pattern], cap=None)
+
+
+def _list(argv: list[str]):
+    def run(m):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = m.cli.main(argv)
+        return code, out.getvalue()
+    return run
 
 
 def _table(n: int):
@@ -66,6 +81,8 @@ CASES = {
     "count S10(132)": _count(COUNT_P, 10, (1, 3, 2)),
     "count S12(2413)": _count(COUNT_P, 12, (2, 4, 1, 3)),
     "table A20(021)": _table(20),
+    "list A11(021)": _list(["enumerate", "ascent", "11", "--avoid", "021", "--format", "csv"]),
+    "list S9(132)": _list(["enumerate", "perm", "9", "--avoid", "132", "--format", "csv"]),
 }
 
 
