@@ -32,13 +32,15 @@ decomposition through the inverse splits.  Both directions preserve the pair
 (asc, rlm), and they are mutually inverse.
 
 Neither map recurses or copies its parts.  Each keeps a stack of pending parts
-(index ranges of the input with their place and value offset in the output)
-and writes every output entry once, so no input length can exhaust the
-recursion limit.  `_to_permutation` finds each part's special maximum by
-bisection in O(log n) and `_to_ascent` finds each part's maximum in O(1), so
-the maps take O(n log n) and O(n); the domain checks are O(n) too.  The
-maps do not call `split_*`/`join_*`; the literal recursion over them is the
-test suite's reference.
+(index ranges of the input with their place and value offset in the output),
+continues into each right part in place, and writes every output entry once,
+so no input length can exhaust the recursion limit.  `_to_permutation` reads
+every split point from one left-to-right pass: the heads of the runs of equal
+nonzero entries form a Cartesian tree keyed on their slack, which a stack
+builds in O(n).  `_to_ascent` finds each part's maximum in O(1) from a table of
+positions.  Both maps take O(n), and so do the domain checks.  The maps do
+not call `split_*`/`join_*`; the literal recursion over them is the test
+suite's reference.
 
 Every public entry point checks its input's domain through `_checked_ascent`
 or `_checked_perm`, the one place each family's domain is decided, and then
@@ -50,8 +52,9 @@ forbidden shape, i < j < k with x_i < x_k < x_j, through the same helper
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import lt
 from typing import Iterable
 
 from .core import ValidationError, validate_ascent_sequence, validate_permutation
@@ -188,44 +191,60 @@ def permutation_to_ascent(perm: Iterable[int]) -> tuple[int, ...]:
 
 
 def _to_permutation(x: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of a 021-avoiding ascent sequence, by an explicit work stack.
+    """Image of a 021-avoiding ascent sequence: one left-to-right pass builds
+    the tree of parts, one traversal writes the image.
 
-    A pending part is a range x[lo:hi] whose image fills out[o:o + hi - lo]
-    with the values base+1..base+(hi-lo).  Call D(j) = asc(x[:j]) + 1 - x[j]
-    the slack of a nonzero entry.  A part reached through r right parts (a
-    left part keeps every slack, a right part lowers each by one) meets its
-    own ascent bound exactly at the nonzero j with D(j) = r, and the last of
-    those starts the run of its special maximum.  The run's extra copies are
-    peeled off one by one as the part's largest values; the last copy then
-    splits what is left in two.
+    The nonzero entries weakly increase, so the ascents of x are exactly its
+    heads, the first entries of its maximal runs of equal nonzero entries.
+    Call D(j) = asc(x[:j]) + 1 - x[j] the slack of a head.  A part reached
+    through r right parts (a left part keeps every slack, a right part lowers
+    each by one) holds no head of slack below r, and meets its own ascent
+    bound exactly at its heads with D(j) = r; the last of those starts the run
+    of its special maximum.  So the head that splits a part is the root of the
+    Cartesian tree of the part's heads keyed on (slack, later first), and the
+    two parts it leaves are its two subtrees.  A stack over the heads builds
+    that tree in O(n).
+
+    The traversal keeps a stack of pending parts.  A part is a range x[lo:hi]
+    with its tree's root s (-1: no head, a zero part, whose image is the
+    decreasing permutation); its image fills out[o:o + hi - lo] with the
+    values base+1..base+(hi-lo).  The extra copies of the run at s are peeled
+    off as the part's largest values; the head then splits what is left in
+    two.  The right part is continued in place, and the left part is pushed
+    when it is nonempty.
     """
     n = len(x)
-    by_slack: list[list[int]] = [[] for _ in range(n + 1)]
-    ascents = 0
-    for j, v in enumerate(x):
-        if v:
-            by_slack[ascents + 1 - v].append(j)
-        if j and x[j - 1] < v:
-            ascents += 1
+    lefts, rights = [-1] * n, [-1] * n  # the subtrees' roots of each head
+    spine = []  # (slack, head) along the right spine of the tree so far
+    for a, j in enumerate(compress(range(1, n), map(lt, x, x[1:]))):
+        slack = a + 1 - x[j]  # a ascents come before the head j
+        last = -1
+        while spine and spine[-1][0] >= slack:  # of equal slacks, the later is above
+            last = spine.pop()[1]
+        lefts[j] = last
+        if spine:
+            rights[spine[-1][1]] = j
+        spine.append((slack, j))
     out = [0] * n
-    work = [(0, n, 0, 0, 0)]  # (lo, hi, r, o, base)
+    work = [(spine[0][1] if spine else -1, 0, n, 0, 0)]  # (s, lo, hi, o, base)
     while work:
-        lo, hi, r, o, base = work.pop()
-        m = hi - lo
-        group = by_slack[r]
-        t = bisect_left(group, hi) - 1
-        if t < 0 or group[t] < lo:  # a zero part: the decreasing permutation
-            out[o:o + m] = range(base + m, base, -1)
-            continue
-        s = e = group[t]
-        while e + 1 < hi and x[e + 1] == x[s]:
-            e += 1
-        out[o:o + e - s] = range(base + m, base + m - (e - s), -1)
-        o += e - s
-        left, right = s - lo, hi - e - 1
-        out[o + left] = base + left + right + 1
-        work.append((lo, s, r, o, base + right))
-        work.append((e + 1, hi, r + 1, o + left + 1, base))
+        s, lo, hi, o, base = work.pop()
+        while lo < hi:
+            m = hi - lo
+            if s < 0:
+                out[o:o + m] = range(base + m, base, -1)
+                break
+            e = s
+            while e + 1 < hi and x[e + 1] == x[s]:
+                e += 1
+            if e > s:
+                out[o:o + e - s] = range(base + m, base + m - (e - s), -1)
+                o += e - s
+            left, right = s - lo, hi - e - 1
+            out[o + left] = base + left + right + 1
+            if left:
+                work.append((lefts[s], lo, s, o, base + right))
+            s, lo, o = rights[s], e + 1, o + left + 1
     return tuple(out)
 
 
@@ -236,31 +255,35 @@ def _to_ascent(p: tuple[int, ...]) -> tuple[int, ...]:
     whose preimage fills out[o:o + hi - lo], each nonzero entry raised by
     `shift`.  While the part's maximum comes first, it is an empty-left split
     that repeats the rest's special maximum; k such maxima, then either
-    nothing (k zeros) or a maximum at i > lo.  There the preimage is that of
-    p[lo:i], then k + 1 copies of peak = asc(p[lo:i]) + 1 (the map preserves
-    asc), then that of p[i+1:hi] with its nonzero entries raised by peak - 1.
+    nothing (k zeros, already in place) or a maximum at i > lo.  There the
+    preimage is that of p[lo:i], then k + 1 copies of peak = asc(p[lo:i]) + 1
+    (the map preserves asc), then that of p[i+1:hi] with its nonzero entries
+    raised by peak - 1.  The left part is pushed (it is never empty) and the
+    right part is continued in place, so each part costs O(1) beyond its
+    leading maxima and the map takes O(n).
     """
     n = len(p)
     where = [0] * (n + 1)  # where[v]: the position of value v
     for i, v in enumerate(p):
         where[v] = i
-    rises = [0] * (n + 1)  # rises[i]: the ascents of p[:i]
-    for i in range(1, n):
-        rises[i + 1] = rises[i] + (p[i - 1] < p[i])
+    rises = list(accumulate(map(lt, p, p[1:]), initial=0))  # rises[i]: asc(p[:i + 1])
     out = [0] * n
     work = [(0, n, 0, 0, 0)]  # (lo, hi, base, o, shift)
     while work:
         lo, hi, base, o, shift = work.pop()
         k = 0
-        while lo < hi and where[base + hi - lo] == lo:
-            lo += 1
-            k += 1
-        if lo == hi:
-            continue  # k zeros, already in place
-        i = where[base + hi - lo]
-        left, right = i - lo, hi - i - 1
-        peak = rises[i] - rises[lo + 1] + 1
-        out[o + left:o + left + k + 1] = [peak + shift] * (k + 1)
-        work.append((lo, i, base + right, o, shift))
-        work.append((i + 1, hi, base, o + left + k + 1, shift + peak - 1))
+        while lo < hi:
+            i = where[base + hi - lo]
+            if i == lo:  # the maximum comes first: one more copy of the next peak
+                lo += 1
+                k += 1
+                continue
+            work.append((lo, i, base + hi - i - 1, o, shift))
+            o += i - lo
+            peak = rises[i - 1] - rises[lo] + 1 + shift  # raised by shift too
+            if k:
+                out[o:o + k] = [peak] * k
+                o, k = o + k, 0
+            out[o] = peak
+            lo, o, shift = i + 1, o + 1, peak - 1
     return tuple(out)

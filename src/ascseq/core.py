@@ -185,6 +185,8 @@ def parse_seq(text: str) -> tuple[int, ...]:
     entries = []
     for tok in tokens:
         try:
+            if "_" in tok:  # int() reads digit-group underscores: "1_0" is 10
+                raise ValueError
             entries.append(int(tok))
         except ValueError:
             raise ValidationError(

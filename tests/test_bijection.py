@@ -145,6 +145,22 @@ def random_021_avoider(n, rng):
     return tuple(x)
 
 
+def random_132_avoider(n, rng):
+    """A 132-avoiding permutation of 1..n, built top-down: each part puts its
+    largest value at a random place, every value on its left above every
+    value on its right; empty, full and random left parts mixed at random."""
+    out = [0] * n
+    work = [(0, n, 0)]  # (o, m, base): out[o:o + m] takes base+1..base+m
+    while work:
+        o, m, base = work.pop()
+        if m:
+            left = rng.choice((0, m - 1, rng.randint(0, m - 1)))
+            out[o + left] = base + m
+            work.append((o, left, base + m - 1 - left))
+            work.append((o + left + 1, m - 1 - left, base))
+    return tuple(out)
+
+
 def extreme_shape(name, n):
     """(map, input, closed-form image) for the four extreme shapes of length n."""
     zeros, up, down = (0,) * n, tuple(range(1, n + 1)), tuple(range(n, 0, -1))
@@ -164,6 +180,15 @@ class TestLongInputs:
         assert len(image) == n and avoids_perm(image, S132)
         assert (asc(image), rlm(image)) == (asc(x), rlm(x))
         assert permutation_to_ascent(image) == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3000), st.randoms(use_true_random=False))
+    def test_round_trip_from_permutations(self, n, rng):
+        perm = random_132_avoider(n, rng)
+        x = permutation_to_ascent(perm)
+        assert len(x) == n
+        assert (asc(x), rlm(x)) == (asc(perm), rlm(perm))
+        assert ascent_to_permutation(x) == perm
 
     @pytest.mark.parametrize("shape", ["zeros", "staircase", "identity", "decreasing"])
     def test_length_100000_within_budget(self, shape):

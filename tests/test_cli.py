@@ -286,6 +286,13 @@ class TestStats:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [("stats", "ascent", "0_0"),
+                                      ("count", "perm", "5", "--avoid", "1_3_2")])
+    def test_underscore_entry_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {argv[-1]!r} as an integer entry\n"
+
     def test_stdin_batch(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 1 0\n0 0\n"))
         code, out, _ = run(capsys, "stats", "ascent")

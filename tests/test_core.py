@@ -167,5 +167,13 @@ class TestTextForms:
         with pytest.raises(ValidationError):
             parse_seq("²²")
 
+    @pytest.mark.parametrize("text, token", [("0_0", "0_0"), ("1_3_2", "1_3_2"),
+                                             ("0 1_0", "1_0"), ("-1_0 3", "-1_0")])
+    def test_underscores_rejected(self, text, token):
+        # int() accepts digit-group underscores, so "1_0" would read as 10
+        with pytest.raises(ValidationError) as exc:
+            parse_seq(text)
+        assert str(exc.value) == f"cannot parse {token!r} as an integer entry"
+
     def test_negative_entries_parse_spaced(self):
         assert parse_seq("-1 3") == (-1, 3)

@@ -1,14 +1,17 @@
 """Smoke tests of the checked-in tools: the layer bench, which reaches into
-the search's private names (`_joint_table`, `_AscentTable`) and the CLI
-module, and so breaks silently when they change, and the statement count."""
+the search's private names (`_joint_table`, `_AscentTable`), the unchecked
+maps (`bijection._to_permutation`, `_to_ascent`) and the CLI module, and so
+breaks silently when they change, and the statement count."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ["count A12(021)", "walk S9(132)", "table A20(021)", "list S9(132)"]
+CASES = ["count A12(021)", "walk S9(132)", "table A20(021)", "list S9(132)",
+         "inverse S11(132)"]
 
 
 def test_transition_bank_runs_on_this_tree():
@@ -23,6 +26,26 @@ def test_transition_bank_runs_on_this_tree():
     # one row per case: its name, then the best and the median in ms
     assert [row[:18].rstrip() for row in rows] == CASES
     assert all(len(row[18:].split()) == 2 for row in rows)
+
+
+def test_transition_bank_compares_this_tree_with_itself():
+    argv = [sys.executable, str(ROOT / "tools" / "transition_bank.py"), str(ROOT),
+            str(ROOT), "--rounds", "3", "--case", "count S10(132)"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    header, row = done.stdout.splitlines()
+    assert header.startswith("python ") and "3 rounds" in header
+    assert row[:18].rstrip() == "count S10(132)"
+    # best and median per tree, the ratio, the faster count, each tree's quartiles
+    match = re.fullmatch(r"((?: +[\d.]+){4})  x *([\d.]+)  faster [0-3]/3"
+                         r"  quartiles ([\d.]+)-([\d.]+) ([\d.]+)-([\d.]+)", row[18:])
+    assert match, row
+    cells = [float(cell) for cell in match[1].split()]
+    assert float(match[2]) > 0
+    for tree in range(2):
+        best, median = cells[2 * tree:2 * tree + 2]
+        lower, upper = float(match[3 + 2 * tree]), float(match[4 + 2 * tree])
+        assert best <= lower <= median <= upper
 
 
 def test_stmt_count_matches_a_direct_count():

@@ -1,5 +1,6 @@
-"""Layer bench of the search: walks, counts, a joint table and two csv
-listings, timed in one process for one or two source trees.
+"""Layer bench of the search and the bijection: walks, counts, a joint
+table, two csv listings, both maps and a whole verify, timed in one process
+for one or two source trees.
 
     python3 tools/transition_bank.py TREE [TREE2] [--rounds K] [--case NAME ...]
 
@@ -9,12 +10,18 @@ two versions run side by side.  Every round times each case once per tree,
 alternating which tree goes first, and checks that the trees agree on the
 result.  Each row reports the best and the median of the K rounds per tree
 in milliseconds, and, for two trees, the ratio of the medians (second over
-first) and the number of rounds the second tree was faster in.
+first), the number of rounds the second tree was faster in, and the lower
+and upper quartiles of each tree's rounds (inclusive method; one round
+gives its time twice), so a ratio can be read against the rounds' spread.
 
 The walk, count and table rows time the search alone: patterns and lengths
 are fixed, and nothing is printed or parsed.  The list rows time a whole
 `cli.main` call of a csv listing, parsing and formatting included, with
-stdout sent to a StringIO.
+stdout sent to a StringIO.  The map rows time the unchecked maps
+(`bijection._to_permutation`, `_to_ascent`) over all of A11(021) or over
+their images; the inputs are built once per process by the first tree,
+before the case's first round.  The verify row times
+`enumeration.verify_equidistribution`, which checks its own inputs.
 """
 
 from __future__ import annotations
@@ -67,6 +74,30 @@ def _table(n: int):
     return run
 
 
+def _map(name: str, n: int, images: bool):
+    """The map `name` over all of A_n(021), or over their images; the inputs
+    are built by `run.setup`, outside the timings."""
+    inputs = []
+
+    def setup(m):
+        if not inputs:
+            seqs = m.ascent_sequences_avoiding(n, [(0, 2, 1)], cap=None)
+            inputs.extend(map(m.bijection._to_permutation, seqs) if images else seqs)
+
+    def run(m):
+        return list(map(getattr(m.bijection, name), inputs))
+    run.setup = setup
+    return run
+
+
+def _quartiles(times: list[float]) -> tuple[float, float]:
+    """The lower and upper quartiles of the round times."""
+    if len(times) == 1:
+        return times[0], times[0]
+    lower, _, upper = statistics.quantiles(times, n=4, method="inclusive")
+    return lower, upper
+
+
 ASCENT, PERM = "ascent_sequences_avoiding", "permutations_avoiding"
 COUNT_A, COUNT_P = "count_ascent_sequences_avoiding", "count_permutations_avoiding"
 CASES = {
@@ -83,6 +114,9 @@ CASES = {
     "table A20(021)": _table(20),
     "list A11(021)": _list(["enumerate", "ascent", "11", "--avoid", "021", "--format", "csv"]),
     "list S9(132)": _list(["enumerate", "perm", "9", "--avoid", "132", "--format", "csv"]),
+    "forward A11(021)": _map("_to_permutation", 11, images=False),
+    "inverse S11(132)": _map("_to_ascent", 11, images=True),
+    "verify 9": lambda m: m.enumeration.verify_equidistribution(9),
 }
 
 
@@ -100,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
           + ", ".join(f"tree {i}: {tree}" for i, tree in enumerate(args.trees)))
     for name in args.case or CASES:
         run, times = CASES[name], [[] for _ in packages]
+        if hasattr(run, "setup"):
+            run.setup(packages[0])
         for r in range(args.rounds):
             order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
             results = {}
@@ -114,7 +150,10 @@ def main(argv: list[str] | None = None) -> int:
         if len(times) == 2:
             faster = sum(b < a for a, b in zip(*times))
             ratio = statistics.median(times[1]) / statistics.median(times[0])
-            line += f"  x{ratio:5.2f}  faster {faster}/{args.rounds}"
+            line += f"  x{ratio:5.2f}  faster {faster}/{args.rounds}  quartiles"
+            for t in times:
+                lower, upper = _quartiles(t)
+                line += f" {lower * 1e3:.1f}-{upper * 1e3:.1f}"
         print(line, flush=True)
     return 0
 
