@@ -16,7 +16,9 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from contextlib import suppress
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -31,15 +33,25 @@ from .enumeration import (
     _PermSearch,
     _search,
     _theorem_tables,
+    _tally,
     _walk,
     catalan,
-    count_ascent_sequences_avoiding,
-    count_permutations_avoiding,
     verify_equidistribution,
 )
 from .stats import asc, rlm, special_maximum
 
 _JSON_OPTS = {"sort_keys": True, "separators": (",", ":")}
+_FAMILIES = {"ascent": (_AscentSearch, ASCENT_CAP), "perm": (_PermSearch, PERM_CAP)}
+
+
+def _integer(text: str) -> int:
+    """A length or a thread count: an optional sign, then ASCII digits.
+    `int` alone would also read "1_0", "١٠" and surrounding spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        with suppress(ValueError):  # past int's digit limit, refused like any other text
+            return int(text)
+    # the words argparse prints when `int` itself refuses a text
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -52,7 +64,7 @@ def _common_flags() -> argparse.ArgumentParser:
         help="lift the enumeration length caps "
              f"({ASCENT_CAP} for ascent sequences, {PERM_CAP} for permutations)")
     common.add_argument(
-        "--threads", type=int, metavar="K", default=argparse.SUPPRESS,
+        "--threads", type=_integer, metavar="K", default=argparse.SUPPRESS,
         help="accepted for interface stability; execution is single-threaded")
     common.add_argument(
         "--verbose", action="store_true", default=argparse.SUPPRESS,
@@ -70,20 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="list every object of one length")
-    p.add_argument("kind", choices=("ascent", "perm"))
-    p.add_argument("n", type=int)
-    p.add_argument("--avoid", action="append", default=[], metavar="PATTERN",
-                   help='forbidden pattern, e.g. "0 2 1" or "021"; repeatable')
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("count", parents=[common],
-                       help="exact count of objects of one length")
-    p.add_argument("kind", choices=("ascent", "perm"))
-    p.add_argument("n", type=int)
-    p.add_argument("--avoid", action="append", default=[], metavar="PATTERN")
-    p.set_defaults(handler=_cmd_count)
+    for name, handler, about, avoid_help in (
+            ("enumerate", _cmd_enumerate, "list every object of one length",
+             'forbidden pattern, e.g. "0 2 1" or "021"; repeatable'),
+            ("count", _cmd_count, "exact count of objects of one length", None)):
+        p = sub.add_parser(name, parents=[common], help=about)
+        p.add_argument("kind", choices=tuple(_FAMILIES))
+        p.add_argument("n", type=_integer)
+        p.add_argument("--avoid", action="append", default=[], metavar="PATTERN",
+                       help=avoid_help)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("stats", parents=[common],
                        help="asc, rlm, and (for ascent sequences) the special maximum")
@@ -102,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution", parents=[common],
                        help="joint (asc, rlm) tables of both families and their difference")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(handler=_cmd_distribution)
 
     p = sub.add_parser("verify", parents=[common],
                        help="equidistribution and bijection check for n = 1..N")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_integer)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -188,9 +196,9 @@ def _blocks(groups: Iterable[tuple], n: int) -> Iterator[str]:
             yield "\n".join([text + ends[v] for v in lasts])
 
 
-def _caps(args) -> tuple[int | None, int | None]:
-    """The (ascent, permutation) length caps; none under --max-n-override."""
-    return (None, None) if args.max_n_override else (ASCENT_CAP, PERM_CAP)
+def _caps(args) -> dict[str, int | None]:
+    """Each family's length cap, by kind; none under --max-n-override."""
+    return {kind: None if args.max_n_override else cap for kind, (_, cap) in _FAMILIES.items()}
 
 
 def _input_texts(args) -> Iterable[str]:
@@ -199,25 +207,23 @@ def _input_texts(args) -> Iterable[str]:
     return (line.rstrip("\n") for line in sys.stdin)
 
 
+def _family_search(args, cut: bool = False) -> tuple:
+    """The search of the family `args.kind` at length `args.n` avoiding the
+    --avoid patterns, under the family's cap: the tree and its roots, as
+    `enumeration._search` gives them."""
+    return _search(_FAMILIES[args.kind][0], args.n, [parse_seq(text) for text in args.avoid],
+                   _caps(args)[args.kind], cut)
+
+
 def _cmd_enumerate(args) -> Result:
-    ascent_cap, perm_cap = _caps(args)
-    patterns = [parse_seq(text) for text in args.avoid]
-    if args.kind == "ascent":
-        tree, roots = _search(_AscentSearch, args.n, patterns, ascent_cap)
-    else:
-        tree, roots = _search(_PermSearch, args.n, patterns, perm_cap)
+    tree, roots = _family_search(args)
     # only one format is printed, so the two walks never share the stack
     return _listing(_blocks(_groups(tree, roots), args.n),
                     _document(lambda: [list(obj) for obj in _walk(tree, roots)]))
 
 
 def _cmd_count(args) -> Result:
-    ascent_cap, perm_cap = _caps(args)
-    patterns = [parse_seq(text) for text in args.avoid]
-    if args.kind == "ascent":
-        total = count_ascent_sequences_avoiding(args.n, patterns, cap=ascent_cap)
-    else:
-        total = count_permutations_avoiding(args.n, patterns, cap=perm_cap)
+    total = _tally(*_family_search(args, True))  # what the `count_*` functions run
     return Result([str(total)], [json.dumps(total)], _csv(["count"], [[total]]))
 
 
@@ -261,7 +267,7 @@ def _cmd_map(args) -> Result:
 
 
 def _cmd_distribution(args) -> Result:
-    tables = dict(zip(("A021", "S132"), _theorem_tables(args.n, _caps(args)[0])))
+    tables = dict(zip(("A021", "S132"), _theorem_tables(args.n, _caps(args)["ascent"])))
     diff = tables["A021"].difference(tables["S132"])
     verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 
@@ -296,12 +302,12 @@ def _cmd_distribution(args) -> Result:
 def _cmd_verify(args) -> Result:
     if args.n_max < 1:
         raise ValidationError(f"verify needs n_max >= 1, got {args.n_max}")
-    ascent_cap, perm_cap = _caps(args)
+    ascent_cap, perm_cap = _caps(args).values()
     # the passes stop at the first n over a cap; fail there before any pass
     first_over = min([args.n_max, *(cap + 1 for cap in (ascent_cap, perm_cap)
                                     if cap is not None)])
     _check_length(first_over, ascent_cap, perm_cap)
-    catalan(args.n_max)  # past its table the last pass would fail: fail before the first
+    catalan(args.n_max)  # past its range the last pass would fail: fail before the first
     reports = []
     for n in range(1, args.n_max + 1):
         if args.verbose:

@@ -302,11 +302,5 @@ def nonzero_weakly_increasing(seq: Iterable[int]) -> bool:
     >>> nonzero_weakly_increasing((0, 2, 1))
     False
     """
-    prev = None
-    for v in _integers(seq):
-        if v == 0:
-            continue
-        if prev is not None and v < prev:
-            return False
-        prev = v
-    return True
+    nonzero = [v for v in _integers(seq) if v]
+    return nonzero == sorted(nonzero)

@@ -2,13 +2,12 @@
 
 Everything here recomputes results by a route different from the library:
 brute force over all index tuples, naive quadratic statistics, dynamic
-programs and closed forms for counting.  The oracles never call the code
+programs and convolution recurrences for counting.  The oracles never call the code
 paths they are used to check.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 
@@ -125,9 +124,33 @@ def fishburn_dp(n: int) -> int:
     return sum(state.values())
 
 
-def catalan_closed_form(n: int) -> int:
-    """Binomial formula, independent of the library's convolution recurrence."""
-    return math.comb(2 * n, n) // (n + 1)
+def catalan_numbers(limit: int) -> list[int]:
+    """C_0..C_limit by the convolution recurrence C_{m+1} = sum C_i C_{m-i},
+    independent of the library's binomial formula."""
+    table = [1]
+    for m in range(limit):
+        table.append(sum(table[i] * table[m - i] for i in range(m + 1)))
+    return table
+
+
+def joint_tables_132(limit: int) -> list[dict[tuple[int, int], int]]:
+    """The joint (asc, rlm) table of S_m(132) for m = 0..limit, by arithmetic
+    alone: a 132-avoider of length m splits as p = L' m R, with every entry of
+    L' above every entry of R, and L' and R any 132-avoiders of their lengths.
+    Then asc(p) = asc(L) + asc(R) + [L nonempty] (L's last entry rises to m,
+    and m falls to R's first), and rlm(p) = rlm(R) if R is nonempty (m and L'
+    lie above all of R), else rlm(L) + 1 (m is last, above all of L)."""
+    tables = [{(0, 0): 1}]
+    for m in range(1, limit + 1):
+        table: dict[tuple[int, int], int] = {}
+        for left in range(m):
+            right = m - 1 - left
+            for (a, r), x in tables[left].items():
+                for (b, s), y in tables[right].items():
+                    key = (a + b + (left > 0), s if right else r + 1)
+                    table[key] = table.get(key, 0) + x * y
+        tables.append(table)
+    return tables
 
 
 def prefix_ascents(seq) -> list[int]:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import fishburn_dp
+from oracles import fishburn_dp, joint_tables_132
 
 from ascseq import (
     AscentSequenceError,
@@ -109,21 +109,24 @@ def test_criterion_1_and_3_catalan_counts_to_length_30():
            f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 
-def test_criterion_4_joint_tables_to_length_25():
-    # the theorem itself, by the memoized search: no object is listed
+def test_criterion_4_joint_tables_to_length_30():
+    # the theorem itself, by the memoized search: no object is listed; the
+    # oracle builds each table by arithmetic over the split p = L' n R
     start = time.perf_counter()
+    expected = joint_tables_132(30)
     bad = []
-    for n in range(0, 26):
+    for n in range(0, 31):
         table_a = _joint_table(_AscentTable, n, [A021], None)
         table_p = _joint_table(_PermTable, n, [S132], None)
-        if not (table_a == table_p and table_a.total == catalan(n)):
+        if not (table_a == table_p and table_a.total == catalan(n)
+                and table_a.entries == expected[n]):
             bad.append(n)
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed <= BUDGET_SECONDS
-    report("criterion 4 (joint tables to length 25)", ok,
+    report("criterion 4 (joint tables to length 30)", ok,
            f"joint (asc, rlm) tables of A_n(021) and S_n(132) equal, total C_n, "
-           f"for n = 0..25; mismatches: {bad or 'none'}; "
-           f"{elapsed:.1f}s of {BUDGET_SECONDS}s budget")
+           f"and equal to the recurrence over p = L' n R, for n = 0..30; "
+           f"mismatches: {bad or 'none'}; {elapsed:.1f}s of {BUDGET_SECONDS}s budget")
 
 
 def test_criterion_4_equidistribution_to_length_11():

@@ -706,7 +706,7 @@ class TestCapsBeforeWork:
                                              "ceiling 1000, which no cap override lifts\n")
 
     def test_catalan_range_fails_first(self, capsys):
-        # with the caps lifted, n = 31 is past the Catalan table of the last pass
+        # with the caps lifted, n = 31 is past the Catalan range of the last pass
         code, out, err = run(capsys, "verify", "31", "--max-n-override")
         assert (code, out, err) == (2, "", "error: catalan(n) supports 0 <= n <= 30, got 31\n")
 
@@ -717,8 +717,8 @@ class TestGlobalFlags:
         assert (code, out) == (0, "15\n")
 
     def test_threads_must_be_positive(self, capsys):
-        code, _, err = run(capsys, "count", "ascent", "4", "--threads", "0")
-        assert code == 2
+        code, out, err = run(capsys, "count", "ascent", "4", "--threads", "0")
+        assert (code, out, err) == (2, "", "error: --threads must be at least 1, got 0\n")
 
     def test_flag_position_before_subcommand(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "count", "ascent", "3")
@@ -729,3 +729,69 @@ class TestGlobalFlags:
         assert code == 0
         assert "checking" in err
         assert "checking" not in out
+
+
+class TestLengthArguments:
+    """Lengths and --threads read an optional sign and ASCII digits, and
+    nothing else: `int` alone would also read digit-group underscores,
+    non-ASCII digits and surrounding whitespace."""
+
+    # each argument read as an integer, with the text in place of "{}"
+    ARGUMENTS = {
+        "count": ("count", "ascent", "{}", "--avoid", "021"),
+        "enumerate": ("enumerate", "perm", "{}", "--avoid", "132"),
+        "distribution": ("distribution", "{}"),
+        "verify": ("verify", "{}"),
+        "threads": ("count", "ascent", "3", "--threads", "{}"),
+    }
+    DEST = {"count": "n", "enumerate": "n", "distribution": "n", "verify": "n_max",
+            "threads": "--threads"}
+
+    @staticmethod
+    def call(capsys, template, text):
+        try:
+            code = main([text if part == "{}" else part for part in template])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("text", ["1_0", "٣", "３", " 3", "3 ", "\t3", "3\n", "",
+                                      "+-3", "3.0", "0x3", "three"])
+    @pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+    def test_refused_as_usage_error(self, capsys, argument, text):
+        code, out, err = self.call(capsys, self.ARGUMENTS[argument], text)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ascseq ")
+        assert err.endswith(f"error: argument {self.DEST[argument]}: "
+                            f"invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+    def test_past_int_digit_limit_is_a_usage_error(self, capsys, argument):
+        text = "9" * 5000
+        code, out, err = self.call(capsys, self.ARGUMENTS[argument], text)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {self.DEST[argument]}: "
+                            f"invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", ["+3", "03", "+03"])
+    @pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+    def test_sign_and_leading_zeros_read_as_int(self, capsys, argument, text):
+        template = self.ARGUMENTS[argument]
+        assert self.call(capsys, template, text) == self.call(capsys, template, "3")
+
+    @pytest.mark.parametrize("argument, message", [
+        ("count", "length must be nonnegative, got -1"),
+        ("enumerate", "length must be nonnegative, got -1"),
+        ("distribution", "length must be nonnegative, got -1"),
+        ("verify", "verify needs n_max >= 1, got -1"),
+        ("threads", "--threads must be at least 1, got -1"),
+    ])
+    def test_negative_reaches_the_domain_check(self, capsys, argument, message):
+        assert self.call(capsys, self.ARGUMENTS[argument], "-1") == (2, "", f"error: {message}\n")
+
+    def test_entries_keep_their_own_rule(self, capsys):
+        # patterns and objects go through `parse_seq`, which refuses "_" but
+        # reads any Unicode decimal digit
+        code, out, _ = run(capsys, "count", "ascent", "5", "--avoid", "٠٢١")
+        assert (code, out) == (0, "42\n")

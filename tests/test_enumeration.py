@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_avoids,
-    catalan_closed_form,
+    catalan_numbers,
     completes_occurrence,
     fishburn_dp,
     relations,
@@ -81,9 +81,9 @@ class TestCatalan:
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
         assert catalan(10) == 16796
 
-    def test_matches_closed_form(self):
-        for n in range(31):
-            assert catalan(n) == catalan_closed_form(n)
+    def test_matches_convolution_recurrence(self):
+        # the library uses the binomial formula; the oracle, the recurrence
+        assert [catalan(n) for n in range(31)] == catalan_numbers(30)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -816,7 +816,7 @@ class TestCaps:
             verify_equidistribution(14)
 
     def test_verify_checks_catalan_range_before_listing(self, monkeypatch):
-        # with the caps lifted, n = 31 is past the Catalan table: fail at once
+        # with the caps lifted, n = 31 is past the Catalan range: fail at once
         def no_search(*args):
             raise AssertionError("the search ran before the Catalan range was checked")
 

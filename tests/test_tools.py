@@ -1,10 +1,11 @@
 """Smoke tests of the checked-in tools: the layer bench, which reaches into
 the search's private names (`_joint_table`, `_AscentTable`), the unchecked
 maps (`bijection._to_permutation`, `_to_ascent`) and the CLI module, and so
-breaks silently when they change, and the statement count."""
+breaks silently when they change, the statement count, and the CLI bank."""
 
 import ast
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,31 @@ def test_stmt_count_matches_a_direct_count():
     total = str(sum(expected.values()))
     assert done.returncode == 0
     assert done.stdout.splitlines()[-1].split() == ["total", total, total, "+0"]
+
+
+def run_cli_bank(*trees):
+    argv = [sys.executable, str(ROOT / "tools" / "cli_bank.py"), *map(str, trees)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_bank_finds_no_difference_between_this_tree_and_itself():
+    done = run_cli_bank(ROOT, ROOT)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
+    assert re.fullmatch(r"\d+ cases, 2 tree\(s\), 0 differ\n", done.stdout), done.stdout
+
+
+def test_cli_bank_reports_a_changed_help_text(tmp_path):
+    package = tmp_path / "ascseq"
+    shutil.copytree(ROOT / "src" / "ascseq", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = package / "cli.py"
+    cli.write_text(cli.read_text(encoding="utf-8").replace(
+        '"list every object of one length"', '"list the objects of one length"'),
+        encoding="utf-8")
+    done = run_cli_bank(ROOT, package)
+    assert (done.returncode, done.stderr) == (1, ""), done.stdout + done.stderr
+    # the subcommand list of the top-level help names it; nothing else changes
+    diffs = [line for line in done.stdout.splitlines() if line.startswith("DIFF ")]
+    assert diffs == ["DIFF ['--help']"]
+    assert "  stdout line " in done.stdout
+    assert done.stdout.splitlines()[-1].endswith(", 1 differ")
