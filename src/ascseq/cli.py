@@ -2,9 +2,12 @@
 and the equidistribution verification harness.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.  Each
-command returns a `Result` and `main` prints it as plain, json or csv.  The
-json and csv formats are byte-stable for fixed inputs; progress chatter (only
-under --verbose) goes to stderr so stdout stays clean.
+command returns a `Result`: its plain, json and csv output as text chunks
+that carry their own line ends, which `main` writes as they are, in the one
+format asked for.  A listing streams in every format, one chunk per leaf
+group of the search; its json is one array whose items stream the same way.
+The json and csv formats are byte-stable for fixed inputs; progress chatter
+(only under --verbose) goes to stderr so stdout stays clean.
 
 Objects and patterns are written either spaced ("0 1 0 1 2 2") or, when every
 entry is a single digit, compactly ("010122"); the empty object is "ε".
@@ -34,7 +37,6 @@ from .enumeration import (
     _search,
     _theorem_tables,
     _tally,
-    _walk,
     catalan,
     verify_equidistribution,
 )
@@ -82,15 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, about, avoid_help in (
-            ("enumerate", _cmd_enumerate, "list every object of one length",
-             'forbidden pattern, e.g. "0 2 1" or "021"; repeatable'),
-            ("count", _cmd_count, "exact count of objects of one length", None)):
+    for name, handler, about in (
+            ("enumerate", _cmd_enumerate, "list every object of one length"),
+            ("count", _cmd_count, "exact count of objects of one length")):
         p = sub.add_parser(name, parents=[common], help=about)
         p.add_argument("kind", choices=tuple(_FAMILIES))
         p.add_argument("n", type=_integer)
         p.add_argument("--avoid", action="append", default=[], metavar="PATTERN",
-                       help=avoid_help)
+                       help='forbidden pattern, e.g. "0 2 1" or "021"; repeatable')
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("stats", parents=[common],
@@ -130,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         result = args.handler(args)
-        for line in getattr(result, args.format):
-            print(line)
+        sys.stdout.writelines(getattr(result, args.format))
         return result.code
     except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
@@ -146,54 +146,65 @@ def main(argv: list[str] | None = None) -> int:
 class Result(NamedTuple):
     """What a command prints, in each format, and its exit code.
 
-    Each format is an iterable of lines, which `main` prints with their line
-    ends; a listing passes a block of lines as one.  The iterables are lazy:
-    `main` consumes only the one its format selects, so `enumerate` streams,
-    and json documents are built only for json.
+    Each format is an iterable of text chunks that carry their own line ends,
+    and `main` writes the chunks of one format as they are.  The iterables are
+    lazy: `main` consumes only the one its format selects, so a listing
+    streams in every format, one chunk per leaf group, and json documents
+    are built only for json.
     """
 
     plain: Iterable[str]
-    json: Iterable[str]  # one serialized document per line
+    json: Iterable[str]  # one serialized document per line, or one json array
     csv: Iterable[str]  # `_csv` renders a header and rows
     code: int = 0
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
-    """The csv lines of the header and the rows, lazily, through one writer."""
+    """The csv text of the header and the rows, on demand, in one chunk."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in chain([header], rows):
-        writer.writerow(row)
-        yield buffer.getvalue()[:-1]  # the writer ends each row with the terminator
-        buffer.seek(0)
-        buffer.truncate()
+    csv.writer(buffer, lineterminator="\n").writerows(chain([header], rows))
+    yield buffer.getvalue()
 
 
 def _document(build: Callable[[], object]) -> Iterator[str]:
     """The json output of a command that prints one document, built on demand."""
-    yield json.dumps(build(), **_JSON_OPTS)
+    yield json.dumps(build(), **_JSON_OPTS) + "\n"
 
 
-def _listing(lines: Iterable[str], json_lines: Iterable[str]) -> Result:
+def _listing(lines: Iterable[str], json_text: Iterable[str]) -> Result:
     """One object per plain line, or per csv line under an `object` header.
     An object's text never needs csv quoting, and only one format is
     printed, so both read the same lines."""
-    return Result(lines, json_lines, chain(["object"], lines))
+    return Result(lines, json_text, chain(["object\n"], lines))
 
 
-def _blocks(groups: Iterable[tuple], n: int) -> Iterator[str]:
-    """The lines of a listing of length n, one block per leaf group
-    (`enumeration._groups`).  A group's prefix goes through the length's
-    "%d" template once, and each last entry adds its precomputed text, so an
-    object costs one concatenation; the bytes are those of `format_seq`."""
-    head = " ".join(["%d"] * (n - 1))
-    ends = [("%d" if n == 1 else " %d") % v for v in range(n + 1)]  # a last entry is at most n
+def _blocks(groups: Iterable[tuple], n: int, sep: str = " ", left: str = "",
+            right: str = "\n") -> Iterator[str]:
+    """The text of a listing of length n, one chunk per leaf group
+    (`enumeration._groups`): each object is its entries joined by `sep`
+    between `left` and `right`, so plain lines by default, and json items,
+    each led by a comma, under `(",", ",[", "]")`.  A group's prefix goes
+    through the length's "%d" template once, and each last entry adds its
+    precomputed text, so an object costs one concatenation; plain bytes are
+    those of `format_seq`, line by line."""
+    head = left + sep.join(["%d"] * (n - 1))
+    # a last entry is at most n
+    ends = [("%d" if n == 1 else sep + "%d") % v + right for v in range(n + 1)]
     for prefix, lasts in groups:
-        if lasts is None:  # n = 0: the empty object
-            yield EMPTY_TEXT
+        if lasts is None:  # n = 0: the empty object, "ε" where nothing encloses it
+            yield (left or EMPTY_TEXT) + right
         else:
             text = head % prefix
-            yield "\n".join([text + ends[v] for v in lasts])
+            yield "".join([text + ends[v] for v in lasts])
+
+
+def _json_array(items: Iterator[str]) -> Iterator[str]:
+    """One json array and its line end, around the chunks of json items that
+    `_blocks` gives, each item led by a comma: the first chunk's comma gives
+    way to the opening bracket, so no items give `[]`."""
+    yield "[" + next(items, ",")[1:]
+    yield from items
+    yield "]\n"
 
 
 def _caps(args) -> dict[str, int | None]:
@@ -216,15 +227,15 @@ def _family_search(args, cut: bool = False) -> tuple:
 
 
 def _cmd_enumerate(args) -> Result:
-    tree, roots = _family_search(args)
-    # only one format is printed, so the two walks never share the stack
-    return _listing(_blocks(_groups(tree, roots), args.n),
-                    _document(lambda: [list(obj) for obj in _walk(tree, roots)]))
+    groups = _groups(*_family_search(args))
+    # only one format is printed, so every format reads the one walk
+    return _listing(_blocks(groups, args.n),
+                    _json_array(_blocks(groups, args.n, ",", ",[", "]")))
 
 
 def _cmd_count(args) -> Result:
     total = _tally(*_family_search(args, True))  # what the `count_*` functions run
-    return Result([str(total)], [json.dumps(total)], _csv(["count"], [[total]]))
+    return Result([f"{total}\n"], [json.dumps(total) + "\n"], _csv(["count"], [[total]]))
 
 
 _STATS_COLUMNS = ["object", "asc", "rlm", "special_max", "run_start", "run_end", "repeated"]
@@ -243,8 +254,8 @@ def _cmd_stats(args) -> Result:
         rows.append({"object": format_seq(values), "asc": asc(values),
                      "rlm": rlm(values), **extra})
     header = _STATS_COLUMNS if args.kind == "ascent" else _STATS_COLUMNS[:3]
-    return Result((_stats_line(row) for row in rows),
-                  (json.dumps(row, **_JSON_OPTS) for row in rows),
+    return Result((_stats_line(row) + "\n" for row in rows),
+                  (json.dumps(row, **_JSON_OPTS) + "\n" for row in rows),
                   _csv(header, (["" if row[key] is None else row[key] for key in header]
                                 for row in rows)))
 
@@ -263,7 +274,8 @@ def _cmd_map(args) -> Result:
     apply = ascent_to_permutation if args.direction == "forward" else permutation_to_ascent
     images = [apply(parse_seq(text)) for text in _input_texts(args)]
     # default separators: map json is "[2, 3, 1]", unlike the other commands
-    return _listing(map(format_seq, images), (json.dumps(list(image)) for image in images))
+    return _listing((format_seq(image) + "\n" for image in images),
+                    (json.dumps(list(image)) + "\n" for image in images))
 
 
 def _cmd_distribution(args) -> Result:
@@ -272,18 +284,18 @@ def _cmd_distribution(args) -> Result:
     verdict = "fail" if diff else "pass"  # reported, but the exit code stays 0
 
     def plain() -> Iterator[str]:
-        yield f"n {args.n}"
+        yield f"n {args.n}\n"
         for family, table in tables.items():
-            yield f"{family} total {table.total}"
+            yield f"{family} total {table.total}\n"
             for (a, r), count in table.sorted_items():
-                yield f"  asc {a} rlm {r} count {count}"
+                yield f"  asc {a} rlm {r} count {count}\n"
         if diff:
-            yield "difference:"
+            yield "difference:\n"
             for (a, r), delta in diff.items():
-                yield f"  asc {a} rlm {r} delta {delta}"
+                yield f"  asc {a} rlm {r} delta {delta}\n"
         else:
-            yield "difference none"
-        yield f"verdict {verdict}"
+            yield "difference none\n"
+        yield f"verdict {verdict}\n"
 
     return Result(
         plain(),
@@ -317,9 +329,9 @@ def _cmd_verify(args) -> Result:
             break
     verdict = "pass" if reports[-1].passed else "fail"  # only the last can fail
     return Result(
-        chain((f"n={r.n} pass ({r.ascent_table.total} per family)" if r.passed
-               else f"n={r.n} FAIL: {r.failure}" for r in reports),
-              [f"verdict {verdict}"]),
+        chain((f"n={r.n} pass ({r.ascent_table.total} per family)\n" if r.passed
+               else f"n={r.n} FAIL: {r.failure}\n" for r in reports),
+              [f"verdict {verdict}\n"]),
         _document(lambda: {
             "max_n": args.n_max,
             "results": [{"n": r.n, "passed": r.passed, "total": r.ascent_table.total,

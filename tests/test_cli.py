@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, byte stability."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -108,11 +110,12 @@ class TestListingBytes:
 
 
 class TestListingTexts:
-    """`enumerate` prints each leaf group of the search as one block of
-    lines; plain and csv lines are `format_seq` of the library's stream,
-    object by object, at every small length and under every kind of pattern
-    set: none, single, a pair, the empty pattern (nothing is listed) and one
-    longer than n (it cannot occur)."""
+    """`enumerate` writes each leaf group of the search as one chunk of
+    text; plain and csv lines are `format_seq` of the library's stream,
+    object by object, and json is `json.dumps` of the whole stream, at every
+    small length and under every kind of pattern set: none, single, a pair,
+    the empty pattern (nothing is listed) and one longer than n (it cannot
+    occur)."""
 
     ASCENT = [[], ["021"], ["0101"], ["021", "0101"], ["00", "012"], [""],
               ["0 1 2 3 4 5 6 7 8 9"]]
@@ -122,13 +125,17 @@ class TestListingTexts:
 
     @staticmethod
     def check(capsys, kind, stream, n, patterns):
-        texts = [format_seq(x) for x in stream(n, [parse_seq(p) for p in patterns])]
+        objects = list(stream(n, [parse_seq(p) for p in patterns]))
+        texts = [format_seq(x) for x in objects]
         argv = ["enumerate", kind, str(n)] + [f"--avoid={p}" for p in patterns]
         for fmt, expected in (("plain", texts), ("csv", ["object", *texts])):
             code, out, err = run(capsys, *argv, "--format", fmt)
             assert (code, err) == (0, "")
             assert out.endswith("\n") or not expected
             assert out.splitlines() == expected, (argv, fmt)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps([list(x) for x in objects], separators=(",", ":")) + "\n"
         return texts
 
     @pytest.mark.parametrize("n", range(9))
@@ -149,11 +156,13 @@ class TestListingTexts:
 
 class TestBrokenPipe:
     """A reader that stops early ends a listing quietly: in a fresh process,
-    closing the pipe after one line gives exit 0 and nothing on stderr."""
+    closing the pipe after one line gives exit 0 and nothing on stderr.  A
+    json listing is one line, so its reader stops inside it."""
 
-    @pytest.mark.parametrize("fmt, first", [("plain", b"0 0 0 0 0 0 0 0 0 0 0 0\n"),
-                                            ("csv", b"object\n")], ids=["plain", "csv"])
-    def test_reader_closes_after_one_line(self, fmt, first):
+    @staticmethod
+    def head_then_close(fmt, read):
+        """What `read` takes from the listing's stdout before the pipe
+        closes, the exit code and stderr."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
              os.environ.get("PYTHONPATH", "")])}
@@ -161,10 +170,57 @@ class TestBrokenPipe:
                 "--avoid", "021", "--format", fmt]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=env) as child:
-            line = child.stdout.readline()
+            head = read(child.stdout)
             child.stdout.close()
             _, err = child.communicate(timeout=60)
-        assert (line, child.returncode, err) == (first, 0, b"")
+        return head, child.returncode, err
+
+    @pytest.mark.parametrize("fmt, first", [("plain", b"0 0 0 0 0 0 0 0 0 0 0 0\n"),
+                                            ("csv", b"object\n")], ids=["plain", "csv"])
+    def test_reader_closes_after_one_line(self, fmt, first):
+        assert self.head_then_close(fmt, lambda out: out.readline()) == (first, 0, b"")
+
+    def test_json_reader_closes_after_32_bytes(self):
+        assert self.head_then_close("json", lambda out: out.read(32)) == (
+            b"[[0,0,0,0,0,0,0,0,0,0,0,0],[0,0,", 0, b"")
+
+
+class TestOneWalk:
+    """Every listing format reads the one leaf-group walk (`_groups`) and
+    writes it as it goes; nothing builds the whole listing first."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_no_format_walks_object_by_object(self, capsys, monkeypatch, fmt):
+        # tripwire: the object-by-object walk serves the library's streams
+        # and `verify`, never the CLI
+        def fail(*args):
+            raise AssertionError("enumerate walked object by object")
+
+        monkeypatch.setattr("ascseq.enumeration._walk", fail)
+        monkeypatch.setattr("ascseq.cli._walk", fail, raising=False)
+        code, out, err = run(capsys, "enumerate", "ascent", "6", "--avoid", "021",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.count("0,0,0,0,0,0" if fmt == "json" else "0 0 0 0 0 0") == 1
+
+    @staticmethod
+    def peak(fmt):
+        """The traced peak, in bytes, of the A11(021) listing written to devnull."""
+        argv = ["enumerate", "ascent", "11", "--avoid", "021", "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(["enumerate", "ascent", "1", "--format", fmt])  # first-call costs, untraced
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_json_streams_like_csv(self):
+        # 58,786 objects: a document built whole would peak near 14 MB
+        assert self.peak("json") <= 2 * self.peak("csv")
 
 
 class TestCount:

@@ -154,9 +154,10 @@ class TestTextForms:
                                      (True, False), (False, 1, False, 1, True),
                                      validate_ascent_sequence([False, True, True])])
     def test_bools_format_as_integers(self, seq):
-        # bools count as integers, so they print as 0/1, the way a listing does
+        # bools count as integers, so they print as 0/1, the way a listing
+        # does; a listing's chunk carries its own line end
         assert parse_seq(format_seq(seq)) == seq
-        assert format_seq(seq) == next(_blocks([(seq[:-1], [seq[-1]])], len(seq)))
+        assert format_seq(seq) + "\n" == next(_blocks([(seq[:-1], [seq[-1]])], len(seq)))
         assert "True" not in format_seq(seq) and "False" not in format_seq(seq)
 
     def test_garbage_rejected(self):

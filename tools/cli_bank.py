@@ -11,7 +11,8 @@ with its stdin text for the batch forms of `map` and `stats`, under
 outcome is its stdout, its stderr and its exit code (`SystemExit` included:
 argparse exits for `--help` and usage errors).
 
-The bank covers every subcommand in every format for both families, each
+The bank covers every subcommand in every format for both families
+(listings at n = 0 and 1, and of many leaf groups, among them), each
 subcommand's `--help`, usage errors, length refusals, cap, ceiling and
 Catalan-range errors, bad patterns and bad objects, and `verify` at
 -1..9, 14, 21 and 31.  With two trees, every case whose stdout, stderr or
@@ -44,12 +45,15 @@ def _cases() -> list[tuple[tuple[str, ...], str]]:
         ("enumerate", "ascent", "5", "--avoid", "021"),
         ("enumerate", "ascent", "4"),
         ("enumerate", "ascent", "0"),
+        ("enumerate", "ascent", "1"),
         ("enumerate", "ascent", "1", "--avoid", "0"),
+        ("enumerate", "ascent", "7", "--avoid", "021"),
         ("enumerate", "ascent", "4", "--avoid", ""),
         ("enumerate", "ascent", "6", "--avoid", "0101", "--avoid", "100"),
         ("enumerate", "perm", "5", "--avoid", "132"),
         ("enumerate", "perm", "4"),
         ("enumerate", "perm", "0"),
+        ("enumerate", "perm", "1"),
         ("enumerate", "perm", "5", "--avoid", "2413", "--avoid", "3142"),
         ("count", "ascent", "12", "--avoid", "021"),
         ("count", "ascent", "9"),

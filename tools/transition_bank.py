@@ -1,23 +1,27 @@
 """Layer bench of the search and the bijection: walks, counts, a joint
-table, two csv listings, both maps and a whole verify, timed in one process
+table, three listings, both maps and a whole verify, timed in one process
 for one or two source trees.
 
     python3 tools/transition_bank.py TREE [TREE2] [--rounds K] [--case NAME ...]
 
 A tree is a source checkout (its `src/ascseq` is loaded) or an `ascseq`
 package directory.  Each tree's package is imported under its own name, so
-two versions run side by side.  Every round times each case once per tree,
-alternating which tree goes first, and checks that the trees agree on the
-result.  Each row reports the best and the median of the K rounds per tree
-in milliseconds, and, for two trees, the ratio of the medians (second over
-first), the number of rounds the second tree was faster in, and the lower
-and upper quartiles of each tree's rounds (inclusive method; one round
-gives its time twice), so a ratio can be read against the rounds' spread.
+two versions run side by side.  A round repeats a case's call a fixed
+number of times per tree, alternating which tree goes first, and checks
+that the trees agree on the result.  The number of calls is set once per
+case, before its first round, as the calls the first tree makes in
+MIN_ROUND_S, so short cases are timed over enough calls for a ratio to
+mean something, and both trees make the same calls.  Each row reports the
+best and the median of the K rounds per tree in milliseconds per call,
+and, for two trees, the ratio of the medians (second over first), the
+number of rounds the second tree was faster in, and the lower and upper
+quartiles of each tree's rounds (inclusive method; one round gives its
+time twice), so a ratio can be read against the rounds' spread.
 
 The walk, count and table rows time the search alone: patterns and lengths
 are fixed, and nothing is printed or parsed.  The list rows time a whole
-`cli.main` call of a csv listing, parsing and formatting included, with
-stdout sent to a StringIO.  The map rows time the unchecked maps
+`cli.main` call of a csv or json listing, parsing and formatting included,
+with stdout sent to a StringIO.  The map rows time the unchecked maps
 (`bijection._to_permutation`, `_to_ascent`) over all of A11(021) or over
 their images; the inputs are built once per process by the first tree,
 before the case's first round.  The verify row times
@@ -90,6 +94,15 @@ def _map(name: str, n: int, images: bool):
     return run
 
 
+def _calls(run, package) -> int:
+    """The calls of a case that fill one round of at least MIN_ROUND_S."""
+    calls, start = 0, perf_counter()
+    while perf_counter() - start < MIN_ROUND_S:
+        run(package)
+        calls += 1
+    return calls
+
+
 def _quartiles(times: list[float]) -> tuple[float, float]:
     """The lower and upper quartiles of the round times."""
     if len(times) == 1:
@@ -98,6 +111,7 @@ def _quartiles(times: list[float]) -> tuple[float, float]:
     return lower, upper
 
 
+MIN_ROUND_S = 0.2  # one call a round let 1-2 ms rows swing past x1.05 on identical code
 ASCENT, PERM = "ascent_sequences_avoiding", "permutations_avoiding"
 COUNT_A, COUNT_P = "count_ascent_sequences_avoiding", "count_permutations_avoiding"
 CASES = {
@@ -113,6 +127,8 @@ CASES = {
     "count S12(2413)": _count(COUNT_P, 12, (2, 4, 1, 3)),
     "table A20(021)": _table(20),
     "list A11(021)": _list(["enumerate", "ascent", "11", "--avoid", "021", "--format", "csv"]),
+    "list A11(021) json": _list(["enumerate", "ascent", "11", "--avoid", "021",
+                                 "--format", "json"]),
     "list S9(132)": _list(["enumerate", "perm", "9", "--avoid", "132", "--format", "csv"]),
     "forward A11(021)": _map("_to_permutation", 11, images=False),
     "inverse S11(132)": _map("_to_ascent", 11, images=True),
@@ -136,16 +152,18 @@ def main(argv: list[str] | None = None) -> int:
         run, times = CASES[name], [[] for _ in packages]
         if hasattr(run, "setup"):
             run.setup(packages[0])
+        calls = _calls(run, packages[0])
         for r in range(args.rounds):
             order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
             results = {}
             for i in order:
                 start = perf_counter()
-                results[i] = run(packages[i])
-                times[i].append(perf_counter() - start)
+                for _ in range(calls):
+                    results[i] = run(packages[i])
+                times[i].append((perf_counter() - start) / calls)
             if len({repr(result) for result in results.values()}) > 1:
                 raise SystemExit(f"{name}: the trees disagree: {results}")
-        cells = [f"{min(t) * 1e3:9.1f} {statistics.median(t) * 1e3:9.1f}" for t in times]
+        cells = [f"{min(t) * 1e3:9.2f} {statistics.median(t) * 1e3:9.2f}" for t in times]
         line = f"{name:<18}" + "".join(cells)
         if len(times) == 2:
             faster = sum(b < a for a, b in zip(*times))
@@ -153,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             line += f"  x{ratio:5.2f}  faster {faster}/{args.rounds}  quartiles"
             for t in times:
                 lower, upper = _quartiles(t)
-                line += f" {lower * 1e3:.1f}-{upper * 1e3:.1f}"
+                line += f" {lower * 1e3:.2f}-{upper * 1e3:.2f}"
         print(line, flush=True)
     return 0
 
