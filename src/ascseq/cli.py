@@ -4,8 +4,9 @@ and the equidistribution verification harness.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.  Each
 command returns a `Result`: its plain, json and csv output as text chunks
 that carry their own line ends, which `main` writes as they are, in the one
-format asked for.  A listing streams in every format, one chunk per leaf
-group of the search; its json is one array whose items stream the same way.
+format asked for.  A listing streams in every format, one chunk per group
+of the search (`enumeration._groups`), whose tails' texts the walk
+memoizes; its json is one array whose items stream the same way.
 The json and csv formats are byte-stable for fixed inputs; progress chatter
 (only under --verbose) goes to stderr so stdout stays clean.
 
@@ -22,6 +23,7 @@ import json
 import re
 import sys
 from contextlib import suppress
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -32,6 +34,7 @@ from .enumeration import (
     PERM_CAP,
     _AscentSearch,
     _check_length,
+    _group_depth,
     _groups,
     _PermSearch,
     _search,
@@ -149,8 +152,8 @@ class Result(NamedTuple):
     Each format is an iterable of text chunks that carry their own line ends,
     and `main` writes the chunks of one format as they are.  The iterables are
     lazy: `main` consumes only the one its format selects, so a listing
-    streams in every format, one chunk per leaf group, and json documents
-    are built only for json.
+    streams in every format, one chunk per group of the search, and json
+    documents are built only for json.
     """
 
     plain: Iterable[str]
@@ -178,24 +181,23 @@ def _listing(lines: Iterable[str], json_text: Iterable[str]) -> Result:
     return Result(lines, json_text, chain(["object\n"], lines))
 
 
-def _blocks(groups: Iterable[tuple], n: int, sep: str = " ", left: str = "",
-            right: str = "\n") -> Iterator[str]:
-    """The text of a listing of length n, one chunk per leaf group
-    (`enumeration._groups`): each object is its entries joined by `sep`
-    between `left` and `right`, so plain lines by default, and json items,
-    each led by a comma, under `(",", ",[", "]")`.  A group's prefix goes
-    through the length's "%d" template once, and each last entry adds its
-    precomputed text, so an object costs one concatenation; plain bytes are
-    those of `format_seq`, line by line."""
-    head = left + sep.join(["%d"] * (n - 1))
-    # a last entry is at most n
-    ends = [("%d" if n == 1 else sep + "%d") % v + right for v in range(n + 1)]
-    for prefix, lasts in groups:
-        if lasts is None:  # n = 0: the empty object, "ε" where nothing encloses it
-            yield (left or EMPTY_TEXT) + right
-        else:
-            text = head % prefix
-            yield "".join([text + ends[v] for v in lasts])
+def _blocks(groups: Callable[[Callable], Iterable[tuple]], n: int, depth: int,
+            sep: str = " ", left: str = "", right: str = "\n") -> Iterator[str]:
+    """The text of a listing of length n, one chunk per group that
+    `groups(render)` gives (`enumeration._groups` on one search), each a
+    prefix of `depth` entries and the rendered tails below it: each object
+    is its entries joined by `sep` between `left` and `right`, so plain
+    lines by default, and json items, each led by a comma, under
+    `(",", ",[", "]")`.  `render` gives each tail's text, which the walk
+    memoizes on the node's state, and a prefix goes through the depth's
+    "%d" template once, so an object costs one concatenation; plain bytes
+    are those of `format_seq`, line by line."""
+    # the empty object is "ε" where nothing encloses it
+    head = left + sep.join(["%d"] * depth) if n else left or EMPTY_TEXT
+    tail = (sep if depth else "") + sep.join(["%d"] * (n - depth)) + right
+    for prefix, texts in groups(lambda tails: [tail % t for t in tails]):
+        text = head % prefix
+        yield "".join([text + t for t in texts])
 
 
 def _json_array(items: Iterator[str]) -> Iterator[str]:
@@ -227,10 +229,12 @@ def _family_search(args, cut: bool = False) -> tuple:
 
 
 def _cmd_enumerate(args) -> Result:
-    groups = _groups(*_family_search(args))
-    # only one format is printed, so every format reads the one walk
-    return _listing(_blocks(groups, args.n),
-                    _json_array(_blocks(groups, args.n, ",", ",[", "]")))
+    tree, roots = _family_search(args)
+    # each format walks the one search lazily, with its own texts in the
+    # memo, and only one format is printed
+    groups, depth = partial(_groups, tree, roots), _group_depth(tree)
+    return _listing(_blocks(groups, args.n, depth),
+                    _json_array(_blocks(groups, args.n, depth, ",", ",[", "]")))
 
 
 def _cmd_count(args) -> Result:

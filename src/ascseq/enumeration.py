@@ -25,7 +25,7 @@ carry no mask at all.
 An ascent search caches both halves in two dicts of its own, keyed on
 (levels, v): the mask that v adds, and the child's levels, one object per
 distinct state.  Ascent-sequence states recur massively: streaming
-A_11(021) updates 23,713 masks from 125 distinct inputs and builds 6,917
+A_11(021) updates 2,908 masks from 125 distinct inputs and builds 2,242
 level sets from 78, and the A_20(021) table grows 13,552 from 19.  So the
 transition is mostly a lookup, and equal levels are one object, which the
 cache and the memo compare by identity.  A permutation state holds absolute
@@ -41,11 +41,15 @@ decide, and otherwise calls it directly.  The caches are discarded with
 their search.
 
 Streams walk the tree with an explicit stack, in lexicographic order with no
-duplicates, and build the levels of each node they expand exactly once.
-They walk it by leaf group (`_groups`): each node one entry short of n
-gives its prefix and the last entries its mask allows, so a listing
-formats each prefix once (the CLI's `enumerate`), and `_walk` expands the
-groups to objects.
+duplicates, by group (`_groups`): each node at one depth gives its prefix and
+the tails, the entries after it, of every object below it, so a listing
+formats each prefix once (the CLI's `enumerate`), and `_walk` joins each
+prefix to its tails.  `children` reads a prefix only to extend it, so the
+tails below a node depend only on the rest of it, its state, and a tree
+that caches its transition, whose states recur, memoizes them on it: its
+groups sit `TAIL_LENGTH` entries short of n, where A_14(021) has 232
+distinct states in 58,786 nodes, so each object costs about one
+concatenation.  Any other tree groups by leaf, one entry short of n.
 Counts walk the same tree, but memoize the number of objects below each
 node on a canonical key: for ascent sequences (levels, mask, last entry,
 ascents, obligation, depth), as the interned levels are their own canonical
@@ -57,12 +61,12 @@ tuple that bounds every letter still to come at least as tightly as another
 one can never forbid a value the other does not, so `_grow` drops it as it
 builds the child, and the key sees only the front.  For 021 and 132 the
 front keeps one realised first letter, and the counts reach n = 30 in well
-under a second.  Streams visit each node once and have no memo to shrink,
-so they keep the uncut transition: the dominance tests cost more than the
-dropped tuples save, and cutting streams too made the walks of S_8(2413) and
-S_8(25314) about 1.7-1.8 times slower.  So a count does not list its
-objects; the test suite checks counts against listings exhaustively at
-small n.
+under a second.  Streams memoize only near the leaves, on states that
+recur uncut, and expand every node above, so they keep the uncut
+transition: the dominance tests cost more than the dropped tuples save,
+and cutting streams too made the walks of S_8(2413) and S_8(25314) about
+1.7-1.8 times slower.  So a count does not list its objects; the test
+suite checks counts against listings exhaustively at small n.
 
 The joint (asc, rlm) tables of the paper's theorem come from the same
 memoized tally with a weight on each entry (`_joint_table`): a memo value is
@@ -120,6 +124,15 @@ PERM_CAP = 13
 # tuple), and a count at this length already runs for hours.
 LENGTH_CEILING = 1000
 CATALAN_MAX = 30
+# A stream of a tree that caches its transition memoizes the tails below each
+# node TAIL_LENGTH entries short of n on the node's state (`_groups`).  The
+# csv listings of A_11(021) and S_9(132) took 0.23 and 0.46 times as long as
+# by leaf group at 3, 0.27 and 0.59 at 2, and 0.24 and 0.37 at 4.  The memo
+# starts over once its entries and tails number more than MEMO_TAILS:
+# `enumerate ascent 20 --avoid 000`, whose states recur less, peaked at
+# 354 MB in its first 20 s without it and at 21 MB with it.
+TAIL_LENGTH = 3
+MEMO_TAILS = 1 << 16
 
 
 def catalan(n: int) -> int:
@@ -486,33 +499,57 @@ def _search(family: type, n: int, patterns: Iterable[Iterable[int]],
     return tree, [] if any(not p for p in checked) else [tree.root]
 
 
-def _groups(tree, stack: list) -> Iterator[tuple[tuple[int, ...], list[int] | None]]:
+def _group_depth(tree) -> int:
+    """The depth of the groups of `_groups`: TAIL_LENGTH entries short of n
+    when the tree caches its transition, so that states recur, else one
+    entry short of n (leaf groups); the root when n is smaller."""
+    return max(tree.n - (1 if tree.grown is None else TAIL_LENGTH), 0)
+
+
+def _tails(tree, node) -> list[tuple[int, ...]]:
+    """The entries after the node's prefix of every object below it, in
+    lexicographic order; at n = 0 the root's one tail is ()."""
+    depth = len(node[0])
+    if depth >= tree.n - 1:
+        return [(v,) for v in _bits(tree.leaves(node))] if depth < tree.n else [()]
+    return [child[0][-1:] + tail for child in tree.children(node) for tail in _tails(tree, child)]
+
+
+def _groups(tree, stack: list, render: Callable[[list], Sequence]
+            ) -> Iterator[tuple[tuple[int, ...], Sequence]]:
     """Every object below the nodes on the stack, in lexicographic order, by
-    leaf group: (prefix, last entries) for each node one entry short of n
-    that has any, the entries its `leaves` mask allows, ascending.  At n = 0
-    the root is the one object, and its group is ((), None)."""
-    last_depth, children, leaves = tree.n - 1, tree.children, tree.leaves
+    group: (prefix, render(tails)) for each node at `_group_depth` with
+    objects below it, where the tails are the entries after the prefix
+    (`_tails`), so the group's objects are the prefix joined to each tail.
+
+    `children` reads a prefix only to extend it, and `leaves` only the rest
+    of the node, so at a fixed depth the tails depend on the node's state
+    (`node[1:]`) alone, and `render(tails)` is memoized on it: `tuple` for
+    `_walk`, and a listing's texts for the CLI.  The memo is keyed on states
+    by value, never on an object it may drop, and starts over once its
+    entries and tails number more than MEMO_TAILS."""
+    depth, children, memo, held = _group_depth(tree), tree.children, {}, 0
     while stack:
         node = stack.pop()
-        prefix = node[0]
-        if len(prefix) == last_depth:
-            if lasts := _bits(leaves(node)):
-                yield prefix, lasts
-        elif len(prefix) > last_depth:
-            yield prefix, None
-        else:
+        if len(node[0]) < depth:
             stack += reversed(children(node))
+            continue
+        if (tails := memo.get(node[1:])) is None:
+            tails = memo[node[1:]] = render(_tails(tree, node))
+            held += len(tails) + 1
+            if held > MEMO_TAILS:
+                memo.clear()
+                held = 0
+        if tails:
+            yield node[0], tails
 
 
 def _walk(tree, stack: list) -> Iterator[tuple[int, ...]]:
     """Every object below the nodes on the stack, in lexicographic order:
-    the leaf groups of `_groups`, each expanded to its objects."""
-    for prefix, lasts in _groups(tree, stack):
-        if lasts is None:  # n = 0: the root is the empty object
-            yield prefix
-        else:
-            for v in lasts:
-                yield prefix + (v,)
+    each group's prefix joined to each of its tails (`_groups`)."""
+    for prefix, tails in _groups(tree, stack, tuple):
+        for tail in tails:
+            yield prefix + tail
 
 
 def _tally(tree, roots: list, width: int = 0) -> int:

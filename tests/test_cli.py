@@ -110,9 +110,9 @@ class TestListingBytes:
 
 
 class TestListingTexts:
-    """`enumerate` writes each leaf group of the search as one chunk of
-    text; plain and csv lines are `format_seq` of the library's stream,
-    object by object, and json is `json.dumps` of the whole stream, at every
+    """`enumerate` writes each group of the search as one chunk of text;
+    plain and csv lines are `format_seq` of the library's stream, object by
+    object, and json is `json.dumps` of the whole stream, at every
     small length and under every kind of pattern set: none, single, a pair,
     the empty pattern (nothing is listed) and one longer than n (it cannot
     occur)."""
@@ -186,8 +186,8 @@ class TestBrokenPipe:
 
 
 class TestOneWalk:
-    """Every listing format reads the one leaf-group walk (`_groups`) and
-    writes it as it goes; nothing builds the whole listing first."""
+    """Every listing format reads the one group walk (`_groups`) and writes
+    it as it goes; nothing builds the whole listing first."""
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_no_format_walks_object_by_object(self, capsys, monkeypatch, fmt):

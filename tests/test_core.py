@@ -155,9 +155,13 @@ class TestTextForms:
                                      validate_ascent_sequence([False, True, True])])
     def test_bools_format_as_integers(self, seq):
         # bools count as integers, so they print as 0/1, the way a listing
-        # does; a listing's chunk carries its own line end
+        # does, in a prefix or in a tail; a listing's chunk carries its own
+        # line end
         assert parse_seq(format_seq(seq)) == seq
-        assert format_seq(seq) + "\n" == next(_blocks([(seq[:-1], [seq[-1]])], len(seq)))
+        for depth in range(len(seq)):
+            group = (seq[:depth], seq[depth:])
+            chunks = _blocks(lambda render: [(group[0], render([group[1]]))], len(seq), depth)
+            assert next(chunks) == format_seq(seq) + "\n"
         assert "True" not in format_seq(seq) and "False" not in format_seq(seq)
 
     def test_garbage_rejected(self):

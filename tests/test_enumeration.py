@@ -1,7 +1,9 @@
 """Generators, exact counting, joint distributions, and the verification harness."""
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from oracles import (
     relations,
 )
 
+import ascseq.enumeration as enumeration
 from ascseq import (
     ValidationError,
     ascent_sequences,
@@ -26,7 +29,8 @@ from ascseq import (
     permutations_avoiding,
     verify_equidistribution,
 )
-from ascseq.core import is_ascent_sequence, is_permutation
+from ascseq.cli import main
+from ascseq.core import format_seq, is_ascent_sequence, is_permutation
 from ascseq.enumeration import (
     ASCENT_CAP,
     LENGTH_CEILING,
@@ -37,12 +41,14 @@ from ascseq.enumeration import (
     _bits,
     _compile,
     _forbid,
+    _group_depth,
     _groups,
     _grow,
     _joint_table,
     _PermSearch,
     _PermTable,
     _search,
+    _tails,
     _theorem_tables,
     _walk,
 )
@@ -348,10 +354,25 @@ class TestMemoSize:
                                   count_ascent_sequences_avoiding, 20, (0, 2, 1)) < 2000
 
 
+def plain_walk(tree, stack):
+    """The objects below the nodes on the stack by a plain depth-first walk
+    of the tree, node by node: no groups and no memo."""
+    for node in stack:
+        prefix = node[0]
+        if len(prefix) == tree.n:  # n = 0: the root is the empty object
+            yield prefix
+        elif len(prefix) == tree.n - 1:
+            yield from (prefix + (v,) for v in _bits(tree.leaves(node)))
+        else:
+            yield from plain_walk(tree, tree.children(node))
+
+
 class TestFullStates:
     """A node gets its levels only if the search expands it: a child one
     entry short of n carries just its forbidden mask, and a permutation
-    child's dead-end test reads only its mask.  The objects are unchanged."""
+    child's dead-end test reads only its mask.  A stream expands a node 3
+    entries short of n, and the nodes below it, once per distinct state
+    (`_groups`).  The objects are unchanged."""
 
     @staticmethod
     def walk(family, n, pattern, levels_of):
@@ -373,8 +394,10 @@ class TestFullStates:
         objects, built = self.walk(_AscentSearch, 11, (0, 2, 1), lambda node: node[1][1])
         assert len(objects) == catalan(11)
         assert all(is_ascent_sequence(x) and _first_021(x) is None for x in objects)
-        # one per sequence of length 1..9: a child of length 10 gets only its mask
-        assert built == sum(catalan(m) for m in range(1, 10)) == 6917
+        # one per sequence of length 1..8, and 187 more of length 9 below the
+        # 54 distinct states of length 8; a child of length 10 gets only its
+        # mask (6,917 = C_1 + ... + C_9 with no memo)
+        assert built == sum(catalan(m) for m in range(1, 9)) + 187 == 2242
 
     def test_132_at_9(self):
         objects, built = self.walk(_PermSearch, 9, (1, 3, 2), lambda node: node[1])
@@ -386,9 +409,12 @@ class TestFullStates:
 
 
 class TestLeafGroups:
-    """Streams hand out leaf groups: each node one entry short of n, with the
-    last entries its mask allows, ascending; a node that allows none gives no
-    group.  At n = 0 the root's empty object is the one group."""
+    """Streams hand out groups: each node at `_group_depth` with the tails
+    below it rendered, the entries after its prefix of each object, in
+    order; a node with none gives no group.  A tree that caches its
+    transition groups 3 entries short of n, at the root when n <= 3, and
+    any other by leaf, one entry short of n.  At n = 0 the root's empty
+    object is the one group."""
 
     CASES = [(_AscentSearch, [(0, 2, 1)]), (_AscentSearch, [(0, 0), (0, 1, 2)]),
              (_PermSearch, [(1, 3, 2)]), (_PermSearch, [(2, 4, 1, 3)]), (_PermSearch, [(1,)])]
@@ -396,27 +422,82 @@ class TestLeafGroups:
     @pytest.mark.parametrize("n", range(8))
     @pytest.mark.parametrize("family, patterns", CASES, ids=map(str, CASES))
     def test_groups_are_the_stream_by_prefix(self, family, patterns, n):
-        groups = list(_groups(*_search(family, n, patterns, None)))
-        objects = list(_walk(*_search(family, n, patterns, None)))
+        tree, roots = _search(family, n, patterns, None)
+        # only a compiled permutation pattern longer than 3 (none longer
+        # than n is compiled) leaves the transition uncached
+        uncached = family is _PermSearch and 3 < len(patterns[0]) <= n
+        assert _group_depth(tree) == max(n - (1 if uncached else 3), 0)
+        groups = list(_groups(tree, list(roots), tuple))
+        objects = list(plain_walk(*_search(family, n, patterns, None)))
         if n == 0:
-            assert groups == [((), None)] and objects == [()]
+            assert groups == [((), ((),))] and objects == [()]
             return
-        assert all(len(prefix) == n - 1 and lasts and lasts == sorted(set(lasts))
-                   for prefix, lasts in groups)
+        assert all(len(prefix) == _group_depth(tree) and tails
+                   and tails == tuple(sorted(set(tails)))
+                   and all(len(prefix + t) == n for t in tails)
+                   for prefix, tails in groups)
         assert len({prefix for prefix, _ in groups}) == len(groups)
-        assert [prefix + (v,) for prefix, lasts in groups for v in lasts] == objects
+        assert [prefix + t for prefix, tails in groups for t in tails] == objects
+        assert list(_walk(tree, roots)) == objects
 
     def test_a_node_with_no_last_entry_gives_no_group(self):
-        # under 00 and 012, the node (0, 1) of A_3 allows no last entry
-        tree, roots = _search(_AscentSearch, 3, [(0, 0), (0, 1, 2)], None)
+        # under 00 and 012, the node (0, 1) of A_5 has nothing below it, and
+        # it is the only node at the group depth 2
+        tree, roots = _search(_AscentSearch, 5, [(0, 0), (0, 1, 2)], None)
         (first,) = tree.children(tree.root)
         (second,) = tree.children(first)
-        assert second[0] == (0, 1) and tree.leaves(second) == 0
-        assert list(_groups(tree, roots)) == []
+        assert second[0] == (0, 1) and _tails(tree, second) == []
+        assert list(_groups(tree, roots, tuple)) == []
 
     def test_empty_pattern_gives_no_group(self):
         for family in (_AscentSearch, _PermSearch):
-            assert list(_groups(*_search(family, 3, [()], None))) == []
+            assert list(_groups(*_search(family, 3, [()], None), tuple)) == []
+
+
+class TestStreamMemo:
+    """The tails below a node at the group depth are memoized on its state
+    (`_groups`), and the memo starts over past `MEMO_TAILS` entries and
+    tails.  The stream and every listing format equal the plain walk with
+    the memo at its size and with a budget of 0, which drops every entry at
+    once, down to n = 0, and through n <= 3, where the group is the root."""
+
+    CASES = [("ascent", _AscentSearch, p) for p in ("021", "0101", "000", "")] + \
+        [("perm", _PermSearch, p) for p in ("132", "123", "")]
+
+    @pytest.mark.parametrize("budget", ["default", 0])
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("kind, family, pattern", CASES,
+                             ids=[f"{kind}-{p or 'empty'}" for kind, _, p in CASES])
+    def test_stream_and_listings_equal_the_plain_walk(self, capsys, monkeypatch, kind,
+                                                      family, pattern, n, budget):
+        if budget != "default":
+            monkeypatch.setattr(enumeration, "MEMO_TAILS", budget)
+        patterns = [tuple(map(int, pattern))]
+        objects = list(plain_walk(*_search(family, n, patterns, None)))
+        assert list(_walk(*_search(family, n, patterns, None))) == objects
+        texts = "".join(format_seq(x) + "\n" for x in objects)
+        expected = {"plain": texts, "csv": "object\n" + texts,
+                    "json": json.dumps([list(x) for x in objects], separators=(",", ":")) + "\n"}
+        for fmt, out in expected.items():
+            code = main(["enumerate", kind, str(n), f"--avoid={pattern}", "--format", fmt])
+            assert (code, capsys.readouterr()) == (0, (out, "")), fmt
+
+    @staticmethod
+    def peak(monkeypatch, budget):
+        """The traced peak, in bytes, of streaming A_11(000), 77,451 objects
+        under 29,031 distinct tails, with the memo's budget set."""
+        monkeypatch.setattr(enumeration, "MEMO_TAILS", budget)
+        stream = ascent_sequences_avoiding(11, [(0, 0, 0)])
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in stream) == 77451
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memo_starts_over_past_its_budget(self, monkeypatch):
+        # a memo that is never cleared holds every tail at any budget
+        assert 4 * self.peak(monkeypatch, 1 << 12) < self.peak(monkeypatch, 1 << 30)
 
 
 class TestTransitionCache:

@@ -12,10 +12,10 @@ outcome is its stdout, its stderr and its exit code (`SystemExit` included:
 argparse exits for `--help` and usage errors).
 
 The bank covers every subcommand in every format for both families
-(listings at n = 0 and 1, and of many leaf groups, among them), each
-subcommand's `--help`, usage errors, length refusals, cap, ceiling and
-Catalan-range errors, bad patterns and bad objects, and `verify` at
--1..9, 14, 21 and 31.  With two trees, every case whose stdout, stderr or
+(listings at n = 0 to 3, where one group holds the whole search, and of
+many groups, among them), each subcommand's `--help`, usage errors, length
+refusals, cap, ceiling and Catalan-range errors, bad patterns and bad
+objects, and `verify` at -1..9, 14, 21 and 31.  With two trees, every case whose stdout, stderr or
 exit code differs is reported with the first differing line of each stream,
 and the exit code is 1 if any case differs.  With one tree, the bank only
 runs, which shows that no case crashes the harness.
@@ -46,14 +46,19 @@ def _cases() -> list[tuple[tuple[str, ...], str]]:
         ("enumerate", "ascent", "4"),
         ("enumerate", "ascent", "0"),
         ("enumerate", "ascent", "1"),
+        ("enumerate", "ascent", "2"),
+        ("enumerate", "ascent", "3"),
         ("enumerate", "ascent", "1", "--avoid", "0"),
         ("enumerate", "ascent", "7", "--avoid", "021"),
         ("enumerate", "ascent", "4", "--avoid", ""),
         ("enumerate", "ascent", "6", "--avoid", "0101", "--avoid", "100"),
+        ("enumerate", "ascent", "8", "--avoid", "000"),
         ("enumerate", "perm", "5", "--avoid", "132"),
         ("enumerate", "perm", "4"),
         ("enumerate", "perm", "0"),
         ("enumerate", "perm", "1"),
+        ("enumerate", "perm", "2"),
+        ("enumerate", "perm", "3"),
         ("enumerate", "perm", "5", "--avoid", "2413", "--avoid", "3142"),
         ("count", "ascent", "12", "--avoid", "021"),
         ("count", "ascent", "9"),

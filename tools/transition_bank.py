@@ -19,7 +19,9 @@ quartiles of each tree's rounds (inclusive method; one round gives its
 time twice), so a ratio can be read against the rounds' spread.
 
 The walk, count and table rows time the search alone: patterns and lengths
-are fixed, and nothing is printed or parsed.  The list rows time a whole
+are fixed, and nothing is printed or parsed.  A walk row's result is the
+hash of the tuple of its objects, so the trees must agree on the objects
+and their order, not only on their number.  The list rows time a whole
 `cli.main` call of a csv or json listing, parsing and formatting included,
 with stdout sent to a StringIO.  The map rows time the unchecked maps
 (`bijection._to_permutation`, `_to_ascent`) over all of A11(021) or over
@@ -55,7 +57,9 @@ def load(tree: str, name: str):
 
 
 def _walk(stream: str, n: int, pattern: tuple[int, ...]):
-    return lambda m: sum(1 for _ in getattr(m, stream)(n, [pattern], cap=None))
+    """The stream's objects, as the hash of their tuple, so that two trees
+    agree only on the same objects in the same order."""
+    return lambda m: hash(tuple(getattr(m, stream)(n, [pattern], cap=None)))
 
 
 def _count(count: str, n: int, pattern: tuple[int, ...]):
@@ -130,6 +134,8 @@ CASES = {
     "list A11(021) json": _list(["enumerate", "ascent", "11", "--avoid", "021",
                                  "--format", "json"]),
     "list S9(132)": _list(["enumerate", "perm", "9", "--avoid", "132", "--format", "csv"]),
+    "list S8(2413)": _list(["enumerate", "perm", "8", "--avoid", "2413", "--format", "csv"]),
+    "list A11(000)": _list(["enumerate", "ascent", "11", "--avoid", "000", "--format", "csv"]),
     "forward A11(021)": _map("_to_permutation", 11, images=False),
     "inverse S11(132)": _map("_to_ascent", 11, images=True),
     "verify 9": lambda m: m.enumeration.verify_equidistribution(9),
