@@ -6,7 +6,8 @@ command returns a `Result`: its plain, json and csv output as text chunks
 that carry their own line ends, which `main` writes as they are, in the one
 format asked for.  A listing streams in every format, one chunk per group
 of the search (`enumeration._groups`), whose tails' texts the walk
-memoizes; its json is one array whose items stream the same way.
+memoizes, each chunk one join of those texts with the group's prefix; its
+json is one array whose items stream the same way.
 The json and csv formats are byte-stable for fixed inputs; progress chatter
 (only under --verbose) goes to stderr so stdout stays clean.
 
@@ -190,14 +191,15 @@ def _blocks(groups: Callable[[Callable], Iterable[tuple]], n: int, depth: int,
     lines by default, and json items, each led by a comma, under
     `(",", ",[", "]")`.  `render` gives each tail's text, which the walk
     memoizes on the node's state, and a prefix goes through the depth's
-    "%d" template once, so an object costs one concatenation; plain bytes
-    are those of `format_seq`, line by line."""
+    "%d" template once; the prefix's text then leads each tail's in one
+    join per group, as a group is never empty.  Plain bytes are those of
+    `format_seq`, line by line."""
     # the empty object is "ε" where nothing encloses it
     head = left + sep.join(["%d"] * depth) if n else left or EMPTY_TEXT
     tail = (sep if depth else "") + sep.join(["%d"] * (n - depth)) + right
     for prefix, texts in groups(lambda tails: [tail % t for t in tails]):
         text = head % prefix
-        yield "".join([text + t for t in texts])
+        yield text + text.join(texts)
 
 
 def _json_array(items: Iterator[str]) -> Iterator[str]:

@@ -47,9 +47,10 @@ formats each prefix once (the CLI's `enumerate`), and `_walk` joins each
 prefix to its tails.  `children` reads a prefix only to extend it, so the
 tails below a node depend only on the rest of it, its state, and a tree
 that caches its transition, whose states recur, memoizes them on it: its
-groups sit `TAIL_LENGTH` entries short of n, where A_14(021) has 232
-distinct states in 58,786 nodes, so each object costs about one
-concatenation.  Any other tree groups by leaf, one entry short of n.
+groups sit the family's `tail` entries short of n, 3 for ascent sequences,
+where A_14(021) has 232 distinct states in 58,786 nodes, and 4 for
+permutations, where S_12(132) has 495 in 48,450, so the CLI writes each
+group with one join.  Any other tree groups by leaf, one entry short of n.
 Counts walk the same tree, but memoize the number of objects below each
 node on a canonical key: for ascent sequences (levels, mask, last entry,
 ascents, obligation, depth), as the interned levels are their own canonical
@@ -125,13 +126,17 @@ PERM_CAP = 13
 LENGTH_CEILING = 1000
 CATALAN_MAX = 30
 # A stream of a tree that caches its transition memoizes the tails below each
-# node TAIL_LENGTH entries short of n on the node's state (`_groups`).  The
-# csv listings of A_11(021) and S_9(132) took 0.23 and 0.46 times as long as
-# by leaf group at 3, 0.27 and 0.59 at 2, and 0.24 and 0.37 at 4.  The memo
-# starts over once its entries and tails number more than MEMO_TAILS:
-# `enumerate ascent 20 --avoid 000`, whose states recur less, peaked at
-# 354 MB in its first 20 s without it and at 21 MB with it.
-TAIL_LENGTH = 3
+# node `tail` entries short of n on the node's state (`_groups`), where `tail`
+# is a class attribute of the search.  Against leaf groups, the csv listings
+# of A_11(021) and S_9(132) took 0.27 and 0.59 times as long at 2, 0.23 and
+# 0.46 at 3, and 0.24 and 0.37 at 4.  Once the CLI wrote each group with one
+# join (`_blocks`), 4 against 3 made the listings of A_11(021) 1.15 and of
+# A_11(000) 1.59 times as long, so ascent searches keep 3; permutation
+# listings took 0.63 (S_8) to 0.83 (S_9(123)) times as long at 4, and
+# S_9(132) 1.11 times as long at 5 as at 4, so permutation searches take 4.
+# The memo starts over once its entries and tails number more than
+# MEMO_TAILS: `enumerate ascent 20 --avoid 000`, whose states recur less,
+# peaked at 354 MB in its first 20 s without it and at 21 MB with it.
 MEMO_TAILS = 1 << 16
 
 
@@ -348,6 +353,7 @@ class _AscentSearch:
     flat tuple."""
 
     validate = staticmethod(validate_word_pattern)
+    tail = 3  # the entries below a stream's groups (`_group_depth`)
 
     def __init__(self, n: int, search, start) -> None:
         self.n, self.search, self.masks, self.grown = n, search, {}, {}
@@ -420,6 +426,7 @@ class _PermSearch:
 
     validate = staticmethod(validate_permutation)
     masks = grown = None  # the transition's caches, when every pattern has length <= 3
+    tail = 4  # the entries below a stream's groups, when the transition is cached
 
     def __init__(self, n: int, search, start) -> None:
         self.n, self.search = n, search
@@ -500,10 +507,11 @@ def _search(family: type, n: int, patterns: Iterable[Iterable[int]],
 
 
 def _group_depth(tree) -> int:
-    """The depth of the groups of `_groups`: TAIL_LENGTH entries short of n
-    when the tree caches its transition, so that states recur, else one
-    entry short of n (leaf groups); the root when n is smaller."""
-    return max(tree.n - (1 if tree.grown is None else TAIL_LENGTH), 0)
+    """The depth of the groups of `_groups`: the family's `tail` entries short
+    of n (3 for ascent sequences, 4 for permutations) when the tree caches
+    its transition, so that states recur, else one entry short of n (leaf
+    groups); the root when n is smaller."""
+    return max(tree.n - (1 if tree.grown is None else tree.tail), 0)
 
 
 def _tails(tree, node) -> list[tuple[int, ...]]:

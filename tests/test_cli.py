@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from ascseq import ascent_sequences_avoiding, format_seq, parse_seq, permutations_avoiding
-from ascseq.cli import main
+from ascseq.cli import _blocks, main
 
 
 def run(capsys, *argv):
@@ -107,6 +107,39 @@ class TestListingBytes:
     def test_length_zero_prints_epsilon(self, capsys, kind, fmt, expected):
         code, out, err = run(capsys, "enumerate", kind, "0", "--format", fmt)
         assert (code, out, err) == (0, expected, "")
+
+
+class TestBlocks:
+    """`_blocks` writes each group as one chunk: the objects' texts, the
+    group's prefix joined to each of its tails, one after another, in plain
+    lines or in json items each led by a comma.  Groups are given directly,
+    so the chunks are checked object by object against `format_seq` and
+    `json.dumps`: at n = 0 ("ε" on its own line, "[]" as a json item), at
+    depth 0 (the whole search in one group) and deeper, with one tail and
+    with many, and with entries past 9.  A group always holds a tail, and
+    sits short of n but at n = 0, as `enumeration._groups` gives them."""
+
+    CASES = {
+        "n=0": (0, 0, [((), [()])]),
+        "depth 0, one tail": (3, 0, [((), [(1, 3, 2)])]),
+        "depth 0, many tails": (3, 0, [((), [(0, 0, 0), (0, 0, 1), (0, 1, 2)])]),
+        "depth 1, leaf tails": (2, 1, [((0,), [(0,), (1,)]), ((1,), [(0,)])]),
+        "depth 2": (5, 2, [((0, 1), [(0, 2, 3)]),
+                           ((1, 10), [(2, 3, 11), (3, 2, 11), (11, 2, 3)])]),
+    }
+
+    FORMATS = {"plain": ((" ", "", "\n"), lambda x: format_seq(x) + "\n"),
+               "json": ((",", ",[", "]"),
+                        lambda x: "," + json.dumps(list(x), separators=(",", ":")))}
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n, depth, groups", CASES.values(), ids=CASES.keys())
+    def test_one_chunk_per_group(self, fmt, n, depth, groups):
+        marks, text = self.FORMATS[fmt]
+        chunks = _blocks(lambda render: [(prefix, render(tails)) for prefix, tails in groups],
+                         n, depth, *marks)
+        assert list(chunks) == ["".join(text(prefix + t) for t in tails)
+                                for prefix, tails in groups]
 
 
 class TestListingTexts:

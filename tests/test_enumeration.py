@@ -412,7 +412,8 @@ class TestLeafGroups:
     """Streams hand out groups: each node at `_group_depth` with the tails
     below it rendered, the entries after its prefix of each object, in
     order; a node with none gives no group.  A tree that caches its
-    transition groups 3 entries short of n, at the root when n <= 3, and
+    transition groups its family's tail short of n, 3 entries for ascent
+    sequences and 4 for permutations, at the root when n is no longer, and
     any other by leaf, one entry short of n.  At n = 0 the root's empty
     object is the one group."""
 
@@ -426,7 +427,8 @@ class TestLeafGroups:
         # only a compiled permutation pattern longer than 3 (none longer
         # than n is compiled) leaves the transition uncached
         uncached = family is _PermSearch and 3 < len(patterns[0]) <= n
-        assert _group_depth(tree) == max(n - (1 if uncached else 3), 0)
+        tail = 1 if uncached else 3 if family is _AscentSearch else 4
+        assert _group_depth(tree) == max(n - tail, 0)
         groups = list(_groups(tree, list(roots), tuple))
         objects = list(plain_walk(*_search(family, n, patterns, None)))
         if n == 0:

@@ -11,11 +11,13 @@ with its stdin text for the batch forms of `map` and `stats`, under
 outcome is its stdout, its stderr and its exit code (`SystemExit` included:
 argparse exits for `--help` and usage errors).
 
-The bank covers every subcommand in every format for both families
-(listings at n = 0 to 3, where one group holds the whole search, and of
-many groups, among them), each subcommand's `--help`, usage errors, length
-refusals, cap, ceiling and Catalan-range errors, bad patterns and bad
-objects, and `verify` at -1..9, 14, 21 and 31.  With two trees, every case whose stdout, stderr or
+The bank covers every subcommand in every format for both families.  Its
+listings include those where one group holds the whole search (n = 0 to 3,
+and 4 for permutations), those one entry longer, where the root's children
+are the groups, and those of many groups.  It also covers each
+subcommand's `--help`, usage errors, length refusals, cap, ceiling and
+Catalan-range errors, bad patterns and bad objects, and `verify` at -1..9,
+14, 21 and 31.  With two trees, every case whose stdout, stderr or
 exit code differs is reported with the first differing line of each stream,
 and the exit code is 1 if any case differs.  With one tree, the bank only
 runs, which shows that no case crashes the harness.
@@ -54,6 +56,8 @@ def _cases() -> list[tuple[tuple[str, ...], str]]:
         ("enumerate", "ascent", "6", "--avoid", "0101", "--avoid", "100"),
         ("enumerate", "ascent", "8", "--avoid", "000"),
         ("enumerate", "perm", "5", "--avoid", "132"),
+        ("enumerate", "perm", "4", "--avoid", "132"),
+        ("enumerate", "perm", "5"),
         ("enumerate", "perm", "4"),
         ("enumerate", "perm", "0"),
         ("enumerate", "perm", "1"),

@@ -1,5 +1,5 @@
 """Layer bench of the search and the bijection: walks, counts, a joint
-table, three listings, both maps and a whole verify, timed in one process
+table, listings, both maps and a whole verify, timed in one process
 for one or two source trees.
 
     python3 tools/transition_bank.py TREE [TREE2] [--rounds K] [--case NAME ...]
@@ -134,6 +134,10 @@ CASES = {
     "list A11(021) json": _list(["enumerate", "ascent", "11", "--avoid", "021",
                                  "--format", "json"]),
     "list S9(132)": _list(["enumerate", "perm", "9", "--avoid", "132", "--format", "csv"]),
+    "list S9(132) json": _list(["enumerate", "perm", "9", "--avoid", "132",
+                                "--format", "json"]),
+    "list S9(123)": _list(["enumerate", "perm", "9", "--avoid", "123", "--format", "csv"]),
+    "list S8()": _list(["enumerate", "perm", "8", "--format", "csv"]),
     "list S8(2413)": _list(["enumerate", "perm", "8", "--avoid", "2413", "--format", "csv"]),
     "list A11(000)": _list(["enumerate", "ascent", "11", "--avoid", "000", "--format", "csv"]),
     "forward A11(021)": _map("_to_permutation", 11, images=False),
